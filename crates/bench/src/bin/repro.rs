@@ -1,10 +1,10 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [figure2|table1..table6|complex|ablation|parallel|serve|
+//! repro [figure2|table1..table6|complex|ablation|memo|serve|
 //!        serve_concurrent|serve_sharded|serve_replicated|serve_churn|
 //!        topk|kernels|chaos|shard_chaos|replica_chaos|all]...
-//!       [--json PATH] [--metrics [PATH]] [--threads N] [--smoke]
+//!       [--json PATH] [--metrics [PATH]] [--smoke]
 //!       [--cache-capacity N] [--workers N] [--shards N,M,...]
 //!       [--replicas N,M,...] [--churn]
 //! ```
@@ -12,9 +12,8 @@
 //! Several section names may be given at once (`repro serve topk --json out`)
 //! to run just those sections into one results file.
 //!
-//! `--threads` caps the worker threads of the `parallel` section
-//! (default: the machine's available parallelism). `--smoke` shrinks the
-//! `serve` and `topk` workloads to CI-sized smoke runs.
+//! `--smoke` shrinks the `serve` and `topk` workloads to CI-sized smoke
+//! runs.
 //! `--cache-capacity` overrides the warm serving system's atomic-cache
 //! capacity (`0` disables caching — the bench gate's synthetic
 //! regression). `--workers` fixes the `serve_concurrent` section to one
@@ -237,16 +236,15 @@ fn perf(
     rows
 }
 
-fn parallel_modes(threads: usize) -> Vec<EngineModeRow> {
+fn memo_modes() -> Vec<EngineModeRow> {
     let rows: Vec<EngineModeRow> = PAPER_SIZES
         .iter()
-        .map(|&n| measure_engine_modes(n, 42, threads))
+        .map(|&n| measure_engine_modes(n, 42))
         .collect();
     progress!(
         "{}",
         format_engine_mode_table(
-            "Engine execution modes on the Table 5-6 workloads \
-             (sequential vs parallel vs memoized)",
+            "Engine memo layer on the Table 5-6 workloads (off vs on)",
             &rows
         )
     );
@@ -561,7 +559,7 @@ const SECTIONS: &[&str] = &[
     "table6",
     "complex",
     "ablation",
-    "parallel",
+    "memo",
     "serve",
     "serve_concurrent",
     "serve_sharded",
@@ -580,7 +578,6 @@ fn main() {
     let mut sections: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut metrics_target: Option<String> = None;
-    let mut threads: Option<usize> = None;
     let mut cache_capacity: Option<usize> = None;
     let mut workers: Option<usize> = None;
     let mut shards: Option<Vec<u32>> = None;
@@ -592,10 +589,6 @@ fn main() {
         match args[i].as_str() {
             "--json" => {
                 json_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--threads" => {
-                threads = args.get(i + 1).and_then(|v| v.parse().ok());
                 i += 2;
             }
             "--cache-capacity" => {
@@ -661,8 +654,6 @@ fn main() {
         STDOUT_RESERVED.store(true, Ordering::Relaxed);
     }
     let wants = |s: &str| sections.iter().any(|w| w == s || w == "all");
-    let threads =
-        threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
     // The shared registry: sections that serve live traffic publish their
     // engine/cache/serve metrics here.
     let registry = Arc::new(Registry::new());
@@ -712,9 +703,9 @@ fn main() {
         );
         json.insert("complex2".into(), serde_json::to_value(&rows).unwrap());
     }
-    if wants("parallel") {
-        let rows = parallel_modes(threads);
-        json.insert("parallel".into(), serde_json::to_value(&rows).unwrap());
+    if wants("memo") {
+        let rows = memo_modes();
+        json.insert("memo".into(), serde_json::to_value(&rows).unwrap());
     }
     if wants("serve") {
         let rows = serve_bench(smoke, cache_capacity, &registry);
@@ -796,7 +787,7 @@ fn main() {
     // the metrics into the results instead.
     let embed_metrics = json_to_stdout && metrics_to_stdout;
     if let Some(path) = json_path {
-        json.insert("meta".into(), bench_meta(threads));
+        json.insert("meta".into(), bench_meta());
         if embed_metrics {
             json.insert("metrics".into(), metrics_json());
         }

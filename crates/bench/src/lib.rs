@@ -4,8 +4,8 @@
 use serde::Serialize;
 use simvid_core::ShardHit;
 use simvid_core::{
-    list, top_k, AtomicProvider, Engine, EngineConfig, Interval, ParallelConfig, RankedSegment,
-    SeqContext, SimilarityList, SimilarityTable, ValueTable,
+    list, top_k, AtomicProvider, Engine, EngineConfig, Interval, RankedSegment, SeqContext,
+    SimilarityList, SimilarityTable, ValueTable,
 };
 use simvid_htl::{parse, AtomicUnit, AttrFn, Formula, FormulaId};
 use simvid_model::{CorpusEpoch, VideoBuilder, VideoTree};
@@ -159,7 +159,7 @@ impl AtomicProvider for ListProvider {
 }
 
 /// A scene/shot hierarchy: root → `scenes` scenes → `shots_per_scene`
-/// shots each. The shape the level-modal fan-out parallelises over.
+/// shots each, so level modals descend into one sequence per scene.
 #[must_use]
 pub fn scene_tree(scenes: u32, shots_per_scene: u32) -> VideoTree {
     let mut b = VideoBuilder::new("bench");
@@ -180,7 +180,7 @@ pub const SHOTS_PER_SCENE: u32 = 250;
 /// The engine-mode workload: an `n`-shot video split into scenes plus a
 /// provider serving Table 5/6-shaped random lists for `P1()` and `P2()`.
 #[must_use]
-pub fn parallel_workload(n: u32, seed: u64) -> (VideoTree, ListProvider) {
+pub fn memo_workload(n: u32, seed: u64) -> (VideoTree, ListProvider) {
     let scenes = n.div_ceil(SHOTS_PER_SCENE).max(1);
     let tree = scene_tree(scenes, SHOTS_PER_SCENE);
     let (p1, p2) = workload_lists(scenes * SHOTS_PER_SCENE, seed);
@@ -188,55 +188,41 @@ pub fn parallel_workload(n: u32, seed: u64) -> (VideoTree, ListProvider) {
     (tree, provider)
 }
 
-/// The engine-mode query: the level-modal block fans out across scenes,
-/// and its repetition under `eventually` is a whole-subtree memo hit.
+/// The engine-mode query: the level-modal block descends into every
+/// scene, and its repetition under `eventually` is a whole-subtree memo
+/// hit.
 #[must_use]
-pub fn parallel_query() -> Formula {
+pub fn memo_query() -> Formula {
     parse("(at shot level (P1() until P2())) and eventually at shot level (P1() until P2())")
         .expect("workload query parses")
 }
 
-/// One row of the engine execution-mode comparison: the same query under
-/// sequential, parallel and memoized evaluation.
+/// One row of the engine execution-mode comparison: the same query with
+/// the memo layer off and on.
 #[derive(Debug, Clone, Serialize)]
 pub struct EngineModeRow {
     /// Total shot count.
     pub n: u32,
-    /// Worker-thread cap used for the parallel measurement.
-    pub threads: usize,
-    /// Sequential, un-memoized wall time.
-    pub sequential: Duration,
-    /// Parallel (fan-out across scenes and branches), un-memoized.
-    pub parallel: Duration,
-    /// Sequential with the memo layer on.
+    /// Un-memoized wall time.
+    pub plain: Duration,
+    /// Wall time with the memo layer on.
     pub memoized: Duration,
 }
 
 impl EngineModeRow {
-    /// Sequential time over parallel time.
-    #[must_use]
-    pub fn parallel_speedup(&self) -> f64 {
-        self.sequential.as_secs_f64() / self.parallel.as_secs_f64().max(1e-12)
-    }
-
-    /// Sequential time over memoized time.
+    /// Un-memoized time over memoized time.
     #[must_use]
     pub fn memo_speedup(&self) -> f64 {
-        self.sequential.as_secs_f64() / self.memoized.as_secs_f64().max(1e-12)
+        self.plain.as_secs_f64() / self.memoized.as_secs_f64().max(1e-12)
     }
 }
 
 /// Measures the engine-mode comparison for one workload size, asserting
-/// along the way that all three modes produce identical results.
+/// along the way that both modes produce identical results.
 #[must_use]
-pub fn measure_engine_modes(n: u32, seed: u64, threads: usize) -> EngineModeRow {
-    let (tree, provider) = parallel_workload(n, seed);
-    let query = parallel_query();
-    let base = EngineConfig {
-        memoize: false,
-        parallel: ParallelConfig::sequential(),
-        ..EngineConfig::default()
-    };
+pub fn measure_engine_modes(n: u32, seed: u64) -> EngineModeRow {
+    let (tree, provider) = memo_workload(n, seed);
+    let query = memo_query();
     // Best of several runs: each top-level eval redoes the full work (the
     // engine resets stats and memo per call), and the minimum filters out
     // scheduler noise at millisecond scales.
@@ -255,28 +241,13 @@ pub fn measure_engine_modes(n: u32, seed: u64, threads: usize) -> EngineModeRow 
         }
         best.expect("at least one run")
     };
-    let (seq_out, sequential) = run(base);
-    let fanout = ParallelConfig {
-        max_threads: threads.max(1),
-        min_seqs_per_thread: 1,
-    };
-    let (par_out, parallel) = run(EngineConfig {
-        parallel: fanout,
-        ..base
+    let (plain_out, plain) = run(EngineConfig {
+        memoize: false,
+        ..EngineConfig::default()
     });
-    let (memo_out, memoized) = run(EngineConfig {
-        memoize: true,
-        ..base
-    });
-    assert_eq!(seq_out, par_out, "parallel evaluation diverged");
-    assert_eq!(seq_out, memo_out, "memoized evaluation diverged");
-    EngineModeRow {
-        n,
-        threads,
-        sequential,
-        parallel,
-        memoized,
-    }
+    let (memo_out, memoized) = run(EngineConfig::default());
+    assert_eq!(plain_out, memo_out, "memoized evaluation diverged");
+    EngineModeRow { n, plain, memoized }
 }
 
 /// Formats the engine execution-mode table.
@@ -287,18 +258,15 @@ pub fn format_engine_mode_table(title: &str, rows: &[EngineModeRow]) -> String {
     let _ = writeln!(out, "{title}");
     let _ = writeln!(
         out,
-        "{:>8}  {:>8}  {:>10}  {:>10}  {:>8}  {:>10}  {:>8}",
-        "Size", "Threads", "Seq (s)", "Par (s)", "Par ×", "Memo (s)", "Memo ×"
+        "{:>8}  {:>10}  {:>10}  {:>8}",
+        "Size", "Plain (s)", "Memo (s)", "Memo ×"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:>8}  {:>8}  {:>10.4}  {:>10.4}  {:>8.2}  {:>10.4}  {:>8.2}",
+            "{:>8}  {:>10.4}  {:>10.4}  {:>8.2}",
             r.n,
-            r.threads,
-            r.sequential.as_secs_f64(),
-            r.parallel.as_secs_f64(),
-            r.parallel_speedup(),
+            r.plain.as_secs_f64(),
             r.memoized.as_secs_f64(),
             r.memo_speedup(),
         );
@@ -2049,10 +2017,10 @@ pub fn format_kernel_table(title: &str, rows: &[KernelRow]) -> String {
     out
 }
 
-/// Machine-readable context for a benchmark run: code revision, thread
-/// budget, workload sizes and cache configuration.
+/// Machine-readable context for a benchmark run: code revision, available
+/// cores, workload sizes and cache configuration.
 #[must_use]
-pub fn bench_meta(threads: usize) -> serde_json::Value {
+pub fn bench_meta() -> serde_json::Value {
     let mut m = serde_json::Map::new();
     let rev = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
@@ -2063,7 +2031,6 @@ pub fn bench_meta(threads: usize) -> serde_json::Value {
         .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned());
     let val = |v: &dyn serde::Serialize| v.to_value();
     m.insert("git_rev".into(), serde_json::Value::Str(rev));
-    m.insert("threads".into(), val(&threads));
     m.insert(
         "available_parallelism".into(),
         val(&std::thread::available_parallelism().map_or(1, usize::from)),
@@ -2473,9 +2440,8 @@ mod tests {
 
     #[test]
     fn engine_modes_agree_and_run() {
-        let row = measure_engine_modes(2_000, 5, 4);
+        let row = measure_engine_modes(2_000, 5);
         assert_eq!(row.n, 2_000);
-        assert_eq!(row.threads, 4);
         let s = format_engine_mode_table("Engine modes", &[row]);
         assert!(s.contains("2000"));
     }

@@ -22,6 +22,7 @@ use simvid_htl::{
 };
 use simvid_model::VideoTree;
 use simvid_obs::{Counter, Histogram, Registry, Subscriber, Tracer};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -56,10 +57,9 @@ impl SeqContext {
 /// Source of similarity tables for atomic units — the picture retrieval
 /// system of the paper's architecture (Figure 1).
 ///
-/// Providers must be [`Sync`]: the engine fans evaluation out over scoped
-/// threads (independent descendant sequences of level-modal operators,
-/// independent branches of binary operators), and every worker queries the
-/// provider through a shared reference.
+/// Evaluation itself is sequential, but providers must be [`Sync`]: a
+/// serving pool shares one provider (and its cross-query cache) among the
+/// engines of concurrently served requests.
 pub trait AtomicProvider: Sync {
     /// The similarity table of a non-temporal atomic unit over the given
     /// sequence, with positions numbered 1-based relative to `ctx.lo`.
@@ -138,51 +138,6 @@ pub struct CacheStats {
     pub evictions: usize,
 }
 
-/// Thread fan-out policy for the parallel evaluation paths.
-///
-/// Evaluation results are *bit-identical* for every setting: parallelism
-/// only changes which thread computes which independent piece, never the
-/// order results are merged in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Upper bound on worker threads (1 disables fan-out entirely).
-    pub max_threads: usize,
-    /// Minimum number of descendant sequences a level-modal fan-out must
-    /// hand each worker before it splits across threads. Guards against
-    /// spawning threads for trivial work.
-    pub min_seqs_per_thread: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            max_threads: std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get),
-            min_seqs_per_thread: 8,
-        }
-    }
-}
-
-impl ParallelConfig {
-    /// A fully sequential policy.
-    #[must_use]
-    pub fn sequential() -> ParallelConfig {
-        ParallelConfig {
-            max_threads: 1,
-            min_seqs_per_thread: usize::MAX,
-        }
-    }
-
-    /// A policy with an explicit thread cap (0 is treated as 1).
-    #[must_use]
-    pub fn with_threads(threads: usize) -> ParallelConfig {
-        ParallelConfig {
-            max_threads: threads.max(1),
-            ..ParallelConfig::default()
-        }
-    }
-}
-
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -196,8 +151,6 @@ pub struct EngineConfig {
     /// Whether subformula evaluations are memoized (common-subexpression
     /// elimination keyed by printed subformula + sequence context).
     pub memoize: bool,
-    /// Thread fan-out policy.
-    pub parallel: ParallelConfig,
 }
 
 impl Default for EngineConfig {
@@ -206,7 +159,6 @@ impl Default for EngineConfig {
             until_threshold: 0.5,
             conjunction: crate::ConjunctionSemantics::Sum,
             memoize: true,
-            parallel: ParallelConfig::default(),
         }
     }
 }
@@ -248,8 +200,7 @@ pub struct EvalStats {
 /// that is what cross-query observability and the CI regression gate
 /// consume. The legacy [`EvalStats`] view is per-evaluation, so it is
 /// reconstructed as the delta `current − baseline`: counters only grow,
-/// and parallel workers report through the same shared atomics, exactly
-/// as the bespoke counter struct this replaces did.
+/// so the delta is exactly the work of the evaluation since the reset.
 #[derive(Debug)]
 struct EngineMetrics {
     registry: Arc<Registry>,
@@ -389,7 +340,7 @@ impl EngineMetrics {
 #[derive(Clone, Copy)]
 struct Ctl<'c> {
     budget: &'c Budget,
-    salvage: Option<&'c std::sync::Mutex<Option<Salvage>>>,
+    salvage: Option<&'c RefCell<Option<Salvage>>>,
 }
 
 /// The shared budget behind [`Ctl::UNLIMITED`] (a `static`, because
@@ -424,8 +375,7 @@ struct Salvage {
 
 /// Renders a captured panic payload (`&str` or `String`) for the typed
 /// [`EngineError::WorkerPanic`]. Deterministic for deterministic payloads,
-/// which keeps injected-panic outcomes identical across sequential and
-/// parallel evaluation.
+/// which keeps injected-panic outcomes replayable.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
@@ -519,7 +469,7 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
     ///
     /// [`EngineError::UnsupportedFormula`] if `f` is not extended
     /// conjunctive (or simpler); [`EngineError::BadLevel`] on bad level
-    /// modalities.
+    /// modalities; [`EngineError::WorkerPanic`] if the provider panicked.
     pub fn eval_at_level(&self, f: &Formula, depth: u8) -> Result<SimilarityTable, EngineError> {
         if classify(f) == FormulaClass::General {
             return Err(EngineError::UnsupportedFormula(
@@ -528,20 +478,7 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
                     .into(),
             ));
         }
-        self.metrics.reset();
-        self.memo.clear();
-        let n = self.tree.level_sequence(depth).len() as u32;
-        let _eval_span = self.metrics.tracer.span("eval");
-        self.eval(
-            f,
-            SeqContext {
-                depth,
-                lo: 0,
-                hi: n,
-            },
-            Ctl::UNLIMITED,
-        )
-        .map(unshare_table)
+        self.eval_open_at_level(f, depth)
     }
 
     /// Evaluates `f` over the full sequence at `depth` *without* the
@@ -554,7 +491,7 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
     ///
     /// [`EngineError::UnsupportedFormula`] on operators outside the
     /// engine's algebra; [`EngineError::BadLevel`] on bad level
-    /// modalities.
+    /// modalities; [`EngineError::WorkerPanic`] if the provider panicked.
     pub fn eval_open_at_level(
         &self,
         f: &Formula,
@@ -563,17 +500,13 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
         self.metrics.reset();
         self.memo.clear();
         let n = self.tree.level_sequence(depth).len() as u32;
+        let ctx = SeqContext {
+            depth,
+            lo: 0,
+            hi: n,
+        };
         let _eval_span = self.metrics.tracer.span("eval");
-        self.eval(
-            f,
-            SeqContext {
-                depth,
-                lo: 0,
-                hi: n,
-            },
-            Ctl::UNLIMITED,
-        )
-        .map(unshare_table)
+        catch_eval(|| self.eval(f, ctx, Ctl::UNLIMITED)).map(unshare_table)
     }
 
     /// Evaluates a *closed* `f` over the full sequence at `depth`, returning
@@ -641,7 +574,7 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
     /// cancellation) and *degrades instead of failing* when interrupted.
     ///
     /// On a budget violation, a provider that gave up after retries, or a
-    /// captured worker panic, the call returns
+    /// captured panic, the call returns
     /// [`TopKAnswer::Degraded`] carrying the ranking accumulated so far
     /// (each value a *lower* bound on the segment's true similarity) plus
     /// per-interval *upper* bounds on every unresolved segment — sound by
@@ -650,11 +583,10 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
     /// the [`Engine::top_k_closed`] code path, so their rankings are
     /// bit-identical to it.
     ///
-    /// Worker panics (from the provider or the engine itself) are captured
-    /// with `catch_unwind` at thread joins and at this boundary and
-    /// surfaced as [`EngineError::WorkerPanic`] inside the degraded
-    /// answer — a panicking provider call can no longer tear down the
-    /// process.
+    /// Panics (from the provider or the engine itself) are captured with
+    /// `catch_unwind` at this boundary and surfaced as
+    /// [`EngineError::WorkerPanic`] inside the degraded answer — a
+    /// panicking provider call can no longer tear down the process.
     ///
     /// # Errors
     ///
@@ -686,7 +618,7 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
             lo: 0,
             hi: n,
         };
-        let slot: std::sync::Mutex<Option<Salvage>> = std::sync::Mutex::new(None);
+        let slot: RefCell<Option<Salvage>> = RefCell::new(None);
         let ctl = Ctl {
             budget,
             salvage: Some(&slot),
@@ -696,7 +628,7 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
         match result {
             Ok(out) => Ok(TopKAnswer::Complete(top_k(&out, k))),
             Err(reason) if reason.is_degradable() => {
-                let salvage = slot.lock().expect("salvage lock").take();
+                let salvage = slot.take();
                 Ok(TopKAnswer::Degraded(
                     self.degraded_answer(f, ctx, k, reason, salvage),
                 ))
@@ -769,7 +701,8 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
                 Ok(Arc::new(out))
             }
             Formula::Until(g, h) => {
-                let (tg, th) = self.eval_pair(g, h, ctx, ctl)?;
+                let tg = self.eval(g, ctx, ctl)?;
+                let th = self.eval(h, ctx, ctl)?;
                 self.note_join(&tg, &th);
                 let lg = closed_table_list(&tg)?;
                 let lh = closed_table_list(&th)?;
@@ -830,7 +763,7 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
         // still inside `remaining` at every failure point below.
         let salvage = |partial: &Option<Arc<SimilarityList>>, remaining: f64, tau_bound: f64| {
             if let Some(slot) = ctl.salvage {
-                *slot.lock().expect("salvage lock") = Some(Salvage {
+                *slot.borrow_mut() = Some(Salvage {
                     partial: partial.clone(),
                     remaining,
                     gap_bound: remaining.max(tau_bound),
@@ -1018,47 +951,6 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
         Ok(out)
     }
 
-    /// Whether a branch promises enough work to repay a thread spawn:
-    /// either a wide context, or a level-modal descent (whose cost scales
-    /// with the descendant segments below the context, not its width).
-    fn branch_is_heavy(&self, f: &Formula, ctx: SeqContext) -> bool {
-        const HEAVY_SEGMENTS: u32 = 4096;
-        ctx.len() >= HEAVY_SEGMENTS || contains_level_modal(f)
-    }
-
-    /// Evaluates the two independent branches of a binary operator,
-    /// fanning them out over scoped threads when *both* branches carry
-    /// enough work to pay for a spawn (parallelising a trivial branch
-    /// only adds overhead — the heavy one stays on the critical path).
-    /// Results (and the winning error, when both fail) are identical to
-    /// sequential evaluation.
-    fn eval_pair(
-        &self,
-        g: &Formula,
-        h: &Formula,
-        ctx: SeqContext,
-        ctl: Ctl<'_>,
-    ) -> Result<(Arc<SimilarityTable>, Arc<SimilarityTable>), EngineError> {
-        let p = self.config.parallel;
-        if p.max_threads >= 2 && self.branch_is_heavy(g, ctx) && self.branch_is_heavy(h, ctx) {
-            // A panicking worker surfaces as a typed `WorkerPanic` instead
-            // of tearing down the join; the main-thread branch is caught
-            // symmetrically so both branches degrade identically, and `g`'s
-            // failure wins exactly as in the sequential short-circuit.
-            let (rg, rh) = std::thread::scope(|scope| {
-                let worker = scope.spawn(|| self.eval(g, ctx, ctl));
-                let rh = catch_eval(|| self.eval(h, ctx, ctl));
-                let rg = worker
-                    .join()
-                    .unwrap_or_else(|p| Err(EngineError::WorkerPanic(panic_message(p))));
-                (rg, rh)
-            });
-            Ok((rg?, rh?))
-        } else {
-            Ok((self.eval(g, ctx, ctl)?, self.eval(h, ctx, ctl)?))
-        }
-    }
-
     fn eval_uncached(
         &self,
         f: &Formula,
@@ -1083,7 +975,8 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
         }
         match f {
             Formula::And(g, h) => {
-                let (tg, th) = self.eval_pair(g, h, ctx, ctl)?;
+                let tg = self.eval(g, ctx, ctl)?;
+                let th = self.eval(h, ctx, ctl)?;
                 self.note_join(&tg, &th);
                 let sem = self.config.conjunction;
                 let _join = self.metrics.tracer.span("join");
@@ -1092,7 +985,8 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
                 })))
             }
             Formula::Until(g, h) => {
-                let (tg, th) = self.eval_pair(g, h, ctx, ctl)?;
+                let tg = self.eval(g, ctx, ctl)?;
+                let th = self.eval(h, ctx, ctl)?;
                 self.note_join(&tg, &th);
                 let theta = self.config.until_threshold;
                 let _sweep = self.metrics.tracer.span("until_sweep");
@@ -1153,29 +1047,35 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
             )));
         }
         let gmax = self.formula_max(g);
-        // Collect the non-empty descendant spans up front: each is an
-        // independent proper sequence, so they can fan out over workers.
         let seq = self.tree.level_sequence(ctx.depth);
-        let spans: Vec<(u32, u32, u32)> = seq[ctx.lo as usize..ctx.hi as usize]
-            .iter()
-            .enumerate()
-            .filter_map(|(local0, &node)| {
-                let (lo, hi) = self.tree.descendant_span(node, target)?;
-                (lo != hi).then_some((local0 as u32 + 1, lo, hi))
-            })
-            .collect();
-        let subs = self.eval_spans(g, target, &spans, ctl)?;
         let mut out: Option<SimilarityTable> = None;
         // (binding, entries) accumulated across parents; entries arrive in
-        // ascending position order because parents are merged in order
-        // (regardless of which worker evaluated which span).
+        // ascending position order because parents are visited in order.
         type Acc = Vec<(
             Vec<simvid_model::ObjectId>,
             Vec<crate::AttrRange>,
             Vec<(u32, f64)>,
         )>;
         let mut acc: Acc = Vec::new();
-        for (&(local_pos, _, _), sub) in spans.iter().zip(&subs) {
+        for (local0, &node) in seq[ctx.lo as usize..ctx.hi as usize].iter().enumerate() {
+            // Each parent with descendants is a proper sequence of its own.
+            let Some((lo, hi)) = self.tree.descendant_span(node, target) else {
+                continue;
+            };
+            if lo == hi {
+                continue;
+            }
+            let local_pos = local0 as u32 + 1;
+            self.metrics.level_descents.inc();
+            let sub = self.eval(
+                g,
+                SeqContext {
+                    depth: target,
+                    lo,
+                    hi,
+                },
+                ctl,
+            )?;
             for row in &sub.rows {
                 // The modal operator reads the value at the *first* segment
                 // of the descendant sequence.
@@ -1222,62 +1122,6 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
             });
         }
         Ok(Arc::new(out.ensure_closed_row()))
-    }
-
-    /// Evaluates `g` over every span, splitting the spans into contiguous
-    /// chunks across scoped threads when there are enough of them. The
-    /// returned tables are ordered like `spans` in both paths, and the
-    /// winning error (the earliest span whose chunk failed) matches the
-    /// sequential short-circuit.
-    fn eval_spans(
-        &self,
-        g: &Formula,
-        target: u8,
-        spans: &[(u32, u32, u32)],
-        ctl: Ctl<'_>,
-    ) -> Result<Vec<Arc<SimilarityTable>>, EngineError> {
-        let p = self.config.parallel;
-        let workers = (spans.len() / p.min_seqs_per_thread.max(1)).min(p.max_threads);
-        let eval_span = |&(_, lo, hi): &(u32, u32, u32)| {
-            self.metrics.level_descents.inc();
-            self.eval(
-                g,
-                SeqContext {
-                    depth: target,
-                    lo,
-                    hi,
-                },
-                ctl,
-            )
-        };
-        if workers < 2 {
-            return spans.iter().map(eval_span).collect();
-        }
-        let chunk = spans.len().div_ceil(workers);
-        // A panicking worker yields a typed `WorkerPanic` for its chunk
-        // instead of poisoning the join. Spans evaluate in order within a
-        // chunk and chunk results are drained in order below, so the
-        // winning error matches the sequential short-circuit.
-        let results: Vec<Result<Vec<Arc<SimilarityTable>>, EngineError>> =
-            std::thread::scope(|scope| {
-                let eval_span = &eval_span;
-                let handles: Vec<_> = spans
-                    .chunks(chunk)
-                    .map(|c| scope.spawn(move || c.iter().map(eval_span).collect()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|p| Err(EngineError::WorkerPanic(panic_message(p))))
-                    })
-                    .collect()
-            });
-        let mut out = Vec::with_capacity(spans.len());
-        for r in results {
-            out.extend(r?);
-        }
-        Ok(out)
     }
 
     fn note_join(&self, a: &SimilarityTable, b: &SimilarityTable) {
@@ -1366,22 +1210,6 @@ fn and_chain_is_left_deep(f: &Formula) -> bool {
             (is_pure(h) || !matches!(h.as_ref(), Formula::And(..))) && and_chain_is_left_deep(g)
         }
         _ => true,
-    }
-}
-
-/// Whether the formula contains a level-modal operator anywhere.
-fn contains_level_modal(f: &Formula) -> bool {
-    match f {
-        Formula::AtLevel(..) => true,
-        Formula::Atom(_) => false,
-        Formula::Not(g)
-        | Formula::Next(g)
-        | Formula::Eventually(g)
-        | Formula::Exists(_, g)
-        | Formula::Freeze { body: g, .. } => contains_level_modal(g),
-        Formula::And(g, h) | Formula::Until(g, h) => {
-            contains_level_modal(g) || contains_level_modal(h)
-        }
     }
 }
 
@@ -1524,57 +1352,6 @@ mod tests {
         assert_eq!(plain.stats().atomic_fetches, 2);
         assert_eq!(plain.stats().memo_hits, 0);
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn parallel_fanout_is_bit_identical_to_sequential() {
-        // 6 scenes × 4 shots, evaluated with an aggressive fan-out policy
-        // versus the sequential one: every similarity value must agree
-        // exactly.
-        let mut b = VideoBuilder::new("v");
-        b.set_level_names(["video", "scene", "shot"]);
-        for s in 0..6 {
-            b.child(format!("scene{s}"));
-            for i in 0..4 {
-                b.leaf(format!("s{s}.{i}"));
-            }
-            b.up();
-        }
-        let tree = b.finish().unwrap();
-        let provider = FixtureProvider::new(vec![
-            ("p()", sl(vec![(1, 9, 1.0), (13, 22, 0.7)], 1.0)),
-            (
-                "q()",
-                sl(vec![(3, 3, 2.0), (11, 16, 1.5), (24, 24, 2.0)], 2.0),
-            ),
-        ]);
-        let f = parse("at shot level (p() until q())").unwrap();
-        let sequential = Engine::with_config(
-            &provider,
-            &tree,
-            EngineConfig {
-                parallel: ParallelConfig::sequential(),
-                ..EngineConfig::default()
-            },
-        );
-        let parallel = Engine::with_config(
-            &provider,
-            &tree,
-            EngineConfig {
-                parallel: ParallelConfig {
-                    max_threads: 4,
-                    min_seqs_per_thread: 1,
-                },
-                ..EngineConfig::default()
-            },
-        );
-        let seq_out = sequential.eval_closed_at_level(&f, 1).unwrap();
-        let par_out = parallel.eval_closed_at_level(&f, 1).unwrap();
-        assert_eq!(seq_out, par_out);
-        assert_eq!(
-            sequential.stats().level_descents,
-            parallel.stats().level_descents
-        );
     }
 
     #[test]
@@ -1777,28 +1554,18 @@ mod tests {
         (tree, provider)
     }
 
-    fn aggressive_parallel() -> EngineConfig {
-        EngineConfig {
-            parallel: ParallelConfig {
-                max_threads: 4,
-                min_seqs_per_thread: 1,
-            },
-            ..EngineConfig::default()
-        }
-    }
-
     #[test]
     fn span_worker_panic_surfaces_as_typed_error() {
-        // Regression for the old `join().expect("engine worker panicked")`
-        // in `eval_spans`: a provider panic inside a level-modal fan-out
-        // must come back as `Err(WorkerPanic)`, not a process abort.
+        // A provider panic inside a level-modal descent must come back
+        // from the plain (non-resilient) entry point as `Err(WorkerPanic)`,
+        // not unwind through the caller.
         let (tree, inner) = scenes_fixture();
         let provider = MisbehavingProvider {
             inner,
             panic_on: Some("q()".into()),
             fail_on: None,
         };
-        let engine = Engine::with_config(&provider, &tree, aggressive_parallel());
+        let engine = Engine::new(&provider, &tree);
         let f = parse("at shot level (p() until q())").unwrap();
         match engine.eval_closed_at_level(&f, 1) {
             Err(EngineError::WorkerPanic(msg)) => {
@@ -1810,10 +1577,8 @@ mod tests {
 
     #[test]
     fn pair_worker_panic_surfaces_as_typed_error() {
-        // Regression for the old `join().expect(...)` in `eval_pair`: both
-        // branches carry a level modal, so they fan out over threads; the
-        // panicking branch must not poison the join. Either branch may
-        // panic — test both sides.
+        // A panic in either branch of a binary operator surfaces as the
+        // same typed error — test both sides.
         let (tree, _) = scenes_fixture();
         for panicking in ["p()", "q()"] {
             let (_, inner) = scenes_fixture();
@@ -1822,7 +1587,7 @@ mod tests {
                 panic_on: Some(panicking.into()),
                 fail_on: None,
             };
-            let engine = Engine::with_config(&provider, &tree, aggressive_parallel());
+            let engine = Engine::new(&provider, &tree);
             let f = parse("(at shot level p()) and (at shot level q())").unwrap();
             match engine.eval_closed_at_level(&f, 1) {
                 Err(EngineError::WorkerPanic(msg)) => {
@@ -1841,14 +1606,7 @@ mod tests {
             panic_on: Some("q()".into()),
             fail_on: None,
         };
-        let engine = Engine::with_config(
-            &provider,
-            &tree,
-            EngineConfig {
-                parallel: ParallelConfig::sequential(),
-                ..EngineConfig::default()
-            },
-        );
+        let engine = Engine::new(&provider, &tree);
         let f = parse("at shot level (p() until q())").unwrap();
         let answer = engine
             .top_k_closed_resilient(&f, 1, 3, &Budget::unlimited())

@@ -64,8 +64,9 @@ pub enum EngineError {
     BudgetExhausted,
     /// The request was cancelled cooperatively.
     Cancelled,
-    /// An evaluation worker panicked; the panic was captured and surfaced
-    /// as a typed error instead of tearing down the engine.
+    /// Evaluation panicked (in the provider or the engine itself); the
+    /// panic was captured at the engine's entry point and surfaced as a
+    /// typed error instead of unwinding through the caller.
     WorkerPanic(String),
     /// Every replica of a shard was exhausted (failed, skipped by an open
     /// breaker, or gave up) — the replicated read has no copy left to

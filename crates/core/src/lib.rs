@@ -59,9 +59,7 @@ pub mod topk;
 pub mod valuetable;
 
 pub use budget::Budget;
-pub use engine::{
-    AtomicProvider, CacheStats, Engine, EngineConfig, EvalStats, ParallelConfig, SeqContext,
-};
+pub use engine::{AtomicProvider, CacheStats, Engine, EngineConfig, EvalStats, SeqContext};
 pub use error::{EngineError, ProviderError};
 pub use interval::{Interval, SegPos};
 pub use list::{ConjunctionSemantics, SimilarityList};

@@ -8,22 +8,16 @@
 //! [`SeqContext`] it was evaluated on, turning repeated subformulas into
 //! O(1) lookups — common-subexpression elimination over the formula DAG.
 //!
-//! Two hot-path properties matter here:
-//!
-//! * **Hits are zero-copy.** Values are stored and handed out as
-//!   `Arc<SimilarityTable>`; a hit is a reference-count bump, not a deep
-//!   clone of rows and lists.
-//! * **Lookups don't serialize.** The map is sharded N ways by key hash so
-//!   the engine's parallel fan-out paths rarely contend on one lock, and a
-//!   relaxed entry counter lets `lookup` skip locking entirely while the
-//!   cache is empty (the common case for the first evaluation of a query).
+//! Hits are zero-copy: values are stored and handed out as
+//! `Arc<SimilarityTable>`, so a hit is a reference-count bump, not a deep
+//! clone of rows and lists. Evaluation is sequential, so one map behind
+//! one uncontended lock serves the whole query; the lock only makes the
+//! engine shareable by reference across threads.
 
 use crate::{SeqContext, SimilarityTable};
 use simvid_htl::{Formula, FormulaId};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A memo key: the subformula's interned id plus the sequence context it
 /// was evaluated on. Two occurrences of a subformula hit the same entry
@@ -31,55 +25,35 @@ use std::sync::{Arc, Mutex};
 /// window.
 pub type MemoKey = (FormulaId, u8, u32, u32);
 
-/// One shard's map: values carry the generation they were stored under so
-/// stale entries can be filtered without walking the map on `clear`.
-type MemoShard = Mutex<HashMap<MemoKey, (u64, Arc<SimilarityTable>)>>;
-
-/// Number of independent shards. A small power of two: enough to keep the
-/// engine's bounded thread fan-out (≤ available cores) off each other's
-/// locks, cheap enough to clear per top-level evaluation.
-const SHARDS: usize = 8;
-
 /// Physical entries (live + stale) above which a logical
-/// [`clear`](MemoCache::clear) also reclaims memory by dropping the maps.
+/// [`clear`](MemoCache::clear) also reclaims memory by dropping the map.
 /// Below it, stale rows are left in place and filtered by generation —
 /// clears between the top-level evaluations of a serving loop become O(1).
 const PHYSICAL_CLEAR_THRESHOLD: usize = 4096;
 
-/// A thread-safe, sharded cache of evaluated similarity tables.
+/// A cache of evaluated similarity tables.
 ///
 /// Entries are **generation-tagged**: each value carries the cache
 /// generation it was stored under, and [`clear`](MemoCache::clear) bumps
-/// the generation instead of walking every shard. A stale entry is
-/// invisible to [`lookup`](MemoCache::lookup) the instant the generation
-/// moves — the same invalidate-by-tag discipline the live-ingestion layer
-/// uses for per-video caches — and physical memory is reclaimed lazily
-/// once enough stale rows pile up.
-#[derive(Debug)]
+/// the generation instead of walking the map. A stale entry is invisible
+/// to [`lookup`](MemoCache::lookup) the instant the generation moves — the
+/// same invalidate-by-tag discipline the live-ingestion layer uses for
+/// per-video caches — and physical memory is reclaimed lazily once enough
+/// stale rows pile up.
+#[derive(Debug, Default)]
 pub struct MemoCache {
-    shards: [MemoShard; SHARDS],
-    /// Current generation; entries tagged with an older one are stale.
-    generation: AtomicU64,
-    /// Live (current-generation) entries across shards, maintained relaxed —
-    /// only used for the empty fast path and statistics, never for
-    /// synchronization.
-    entries: AtomicUsize,
-    /// Physical entries across shards, live and stale alike. Drives lazy
-    /// memory reclamation in `clear`.
-    physical: AtomicUsize,
-    hasher: RandomState,
+    inner: Mutex<Memo>,
 }
 
-impl Default for MemoCache {
-    fn default() -> MemoCache {
-        MemoCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            generation: AtomicU64::new(0),
-            entries: AtomicUsize::new(0),
-            physical: AtomicUsize::new(0),
-            hasher: RandomState::new(),
-        }
-    }
+#[derive(Debug, Default)]
+struct Memo {
+    /// Values with the generation they were stored under.
+    map: HashMap<MemoKey, (u64, Arc<SimilarityTable>)>,
+    /// Current generation; entries tagged with an older one are stale.
+    generation: u64,
+    /// Live (current-generation) entries: the empty fast path skips
+    /// hashing while nothing is live.
+    live: usize,
 }
 
 impl MemoCache {
@@ -97,54 +71,43 @@ impl MemoCache {
         (FormulaId::of(f), ctx.depth, ctx.lo, ctx.hi)
     }
 
-    fn shard(&self, key: &MemoKey) -> &Mutex<HashMap<MemoKey, (u64, Arc<SimilarityTable>)>> {
-        &self.shards[(self.hasher.hash_one(key) as usize) % SHARDS]
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.inner.lock().expect("memo lock")
     }
 
     /// The cached table for a key, if present and current-generation. A
     /// hit bumps a reference count; the table itself is never copied.
     #[must_use]
     pub fn lookup(&self, key: &MemoKey) -> Option<Arc<SimilarityTable>> {
-        // Lock-free fast path: nothing live anywhere.
-        if self.entries.load(Ordering::Relaxed) == 0 {
+        let memo = self.memo();
+        if memo.live == 0 {
             return None;
         }
-        let gen = self.generation.load(Ordering::Relaxed);
-        self.shard(key)
-            .lock()
-            .expect("memo lock")
+        memo.map
             .get(key)
-            .and_then(|(g, t)| (*g == gen).then(|| Arc::clone(t)))
+            .and_then(|(g, t)| (*g == memo.generation).then(|| Arc::clone(t)))
     }
 
     /// Stores an evaluated table under the current generation. Later
     /// stores for the same key win (they hold the same value: evaluation
     /// is deterministic).
     pub fn store(&self, key: MemoKey, table: Arc<SimilarityTable>) {
-        let gen = self.generation.load(Ordering::Relaxed);
-        let prev = self
-            .shard(&key)
-            .lock()
-            .expect("memo lock")
-            .insert(key, (gen, table));
-        match prev {
-            None => {
-                self.physical.fetch_add(1, Ordering::Relaxed);
-                self.entries.fetch_add(1, Ordering::Relaxed);
-            }
-            // Overwrote a stale row: physical count unchanged, one more
-            // live entry.
-            Some((g, _)) if g != gen => {
-                self.entries.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(_) => {}
+        let mut memo = self.memo();
+        let gen = memo.generation;
+        // A new key or an overwritten stale row is one more live entry.
+        if memo
+            .map
+            .insert(key, (gen, table))
+            .is_none_or(|(g, _)| g != gen)
+        {
+            memo.live += 1;
         }
     }
 
     /// Number of live cached evaluations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+        self.memo().live
     }
 
     /// Whether the cache holds no live entries.
@@ -156,20 +119,18 @@ impl MemoCache {
     /// The current generation, bumped once per [`clear`](MemoCache::clear).
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
+        self.memo().generation
     }
 
     /// Invalidates every cached entry by advancing the generation — O(1)
     /// unless enough stale rows have accumulated to be worth dropping, in
-    /// which case the maps are physically cleared too.
+    /// which case the map is physically cleared too.
     pub fn clear(&self) {
-        self.generation.fetch_add(1, Ordering::Relaxed);
-        self.entries.store(0, Ordering::Relaxed);
-        if self.physical.load(Ordering::Relaxed) > PHYSICAL_CLEAR_THRESHOLD {
-            for shard in &self.shards {
-                shard.lock().expect("memo lock").clear();
-            }
-            self.physical.store(0, Ordering::Relaxed);
+        let mut memo = self.memo();
+        memo.generation += 1;
+        memo.live = 0;
+        if memo.map.len() > PHYSICAL_CLEAR_THRESHOLD {
+            memo.map.clear();
         }
     }
 }

@@ -47,7 +47,7 @@ impl TopKAnswer {
 }
 
 /// A sound partial answer produced when evaluation is interrupted by a
-/// budget violation, a provider give-up, or a captured worker panic.
+/// budget violation, a provider give-up, or a captured panic.
 ///
 /// The paper's similarity semantics assigns every segment an
 /// `(actual, max)` pair where `max` depends only on the formula — so even

@@ -11,7 +11,7 @@
 //! * [`Registry`] — a named collection of metrics. Handles
 //!   ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-backed atomics:
 //!   recording never takes the registry lock, and every handle is `Sync`,
-//!   so the engine's scoped-thread fan-out can report freely.
+//!   so concurrently served requests can report freely.
 //! * [`Histogram`] — fixed-bucket latency histograms with explicit
 //!   underflow/overflow buckets and bucket-interpolated quantiles
 //!   (p50/p95/p99), good enough for regression gates without storing

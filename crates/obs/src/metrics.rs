@@ -2,7 +2,7 @@
 //!
 //! All handles are `Arc`-backed atomics. Registration (name → handle)
 //! takes a lock once; recording is lock-free and safe from any thread,
-//! which is what the engine's scoped-thread fan-out requires.
+//! which is what the serving worker pool's shared registry requires.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -415,8 +415,8 @@ impl Snapshot {
 
     /// Only the counters and gauges — the *deterministic* part of a
     /// snapshot. Two evaluations of the same query must agree here
-    /// regardless of thread fan-out; histograms carry wall-clock timings
-    /// and are excluded.
+    /// regardless of which threads ran them; histograms carry wall-clock
+    /// timings and are excluded.
     #[must_use]
     pub fn deterministic(&self) -> Vec<(String, i128)> {
         self.entries

@@ -3,8 +3,8 @@
 //! A [`Tracer`] hands out RAII [`Span`] guards; entering and leaving a
 //! span notifies the [`Subscriber`] with the span's name, its nesting
 //! depth on the current thread, and (on exit) the measured duration.
-//! Depth is tracked per thread, so spans opened inside the engine's
-//! scoped-thread fan-out nest correctly without any shared state.
+//! Depth is tracked per thread, so spans opened by concurrent requests
+//! on different threads nest correctly without any shared state.
 //!
 //! A disabled tracer ([`Tracer::disabled`]) reduces a span to a single
 //! branch: no clock reads, no thread-local traffic — the hot paths can be

@@ -38,8 +38,8 @@ impl TreeHandle<'_> {
 /// of compiled queries and scored tables (see [`CacheConfig`]).
 ///
 /// The index and result caches are behind [`Mutex`]es (and hand out
-/// [`Arc`]s) so the system is [`Sync`], as the engine's parallel
-/// evaluation paths require of every [`AtomicProvider`].
+/// [`Arc`]s) so the system is [`Sync`], as every [`AtomicProvider`] must
+/// be: concurrently served requests share one system and its caches.
 pub struct PictureSystem<'a> {
     tree: TreeHandle<'a>,
     config: ScoringConfig,

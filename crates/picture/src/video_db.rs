@@ -142,97 +142,6 @@ impl<'a> VideoDatabase<'a> {
         hits.truncate(k);
         Ok(hits)
     }
-
-    /// [`VideoDatabase::retrieve`] with per-video evaluation fanned out
-    /// over scoped threads — videos are independent (indices, similarity
-    /// lists and engines are all per video), so the paper's multi-video
-    /// scheme parallelises trivially. Results are identical to the
-    /// sequential path.
-    ///
-    /// # Errors
-    ///
-    /// As [`VideoDatabase::retrieve`]; the first per-video error wins.
-    pub fn retrieve_parallel(
-        &self,
-        query: &Formula,
-        level: &QueryLevel,
-        k: usize,
-    ) -> Result<Vec<Hit>, EngineError> {
-        let normalized;
-        let query = if classify(query) == FormulaClass::General {
-            let (hoisted, _, after) = normalize_for_engine(query);
-            if after == FormulaClass::General {
-                return Err(EngineError::UnsupportedFormula(
-                    "multi-video retrieval requires extended conjunctive formulas \
-                     (even after quantifier hoisting)"
-                        .into(),
-                ));
-            }
-            normalized = hoisted;
-            &normalized
-        } else {
-            query
-        };
-        let results: Vec<Result<Vec<Hit>, EngineError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .store
-                .iter()
-                .map(|(vid, tree)| {
-                    let scoring = self.scoring.clone();
-                    let engine_cfg = self.engine_cfg;
-                    scope.spawn(move || -> Result<Vec<Hit>, EngineError> {
-                        let depth = match level {
-                            QueryLevel::Named(name) => match tree.level_by_name(name) {
-                                Some(d) => d,
-                                None => return Ok(Vec::new()),
-                            },
-                            QueryLevel::Depth(d) => {
-                                if *d >= tree.depth() {
-                                    return Ok(Vec::new());
-                                }
-                                *d
-                            }
-                            QueryLevel::Leaves => tree.leaf_level(),
-                        };
-                        let system = PictureSystem::new(tree, scoring);
-                        let engine = Engine::with_config(&system, tree, engine_cfg);
-                        let list = engine.eval_closed_at_level(query, depth)?;
-                        let seq = tree.level_sequence(depth);
-                        let mut out = Vec::new();
-                        for (iv, sim) in rank_entries(&list) {
-                            for pos in iv.beg..=iv.end {
-                                out.push(Hit {
-                                    video: vid,
-                                    segment: seq[pos as usize - 1],
-                                    pos,
-                                    sim,
-                                });
-                            }
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker does not panic"))
-                .collect()
-        });
-        let mut hits = Vec::new();
-        for r in results {
-            hits.extend(r?);
-        }
-        hits.sort_by(|a, b| {
-            b.sim
-                .act
-                .partial_cmp(&a.sim.act)
-                .expect("similarities are finite")
-                .then(a.video.cmp(&b.video))
-                .then(a.pos.cmp(&b.pos))
-        });
-        hits.truncate(k);
-        Ok(hits)
-    }
 }
 
 #[cfg(test)]
@@ -338,43 +247,5 @@ mod tests {
         assert_eq!(simvid_htl::classify(&q), simvid_htl::FormulaClass::General);
         let hits = db.retrieve(&q, &QueryLevel::Leaves, 5).unwrap();
         assert_eq!(hits.len(), 2, "both shots can reach the gun shot");
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use simvid_htl::parse;
-    use simvid_model::VideoBuilder;
-
-    #[test]
-    fn parallel_retrieval_equals_sequential() {
-        let mut store = VideoStore::new();
-        for v in 0..6u64 {
-            let mut b = VideoBuilder::new(format!("v{v}"));
-            b.set_level_names(["video", "shot"]);
-            for i in 0..8 {
-                b.child(format!("shot{i}"));
-                if (i + v) % 3 == 0 {
-                    let o = b.object(1, "person", None);
-                    b.relationship("holds_gun", [o]);
-                }
-                if (i + v) % 4 == 1 {
-                    b.object(2, "horse", None);
-                }
-                b.up();
-            }
-            store.add(b.finish().unwrap());
-        }
-        let db = VideoDatabase::new(&store);
-        let q = parse("(exists x . horse(x)) until (exists y . holds_gun(y))").unwrap();
-        let level = QueryLevel::Named("shot".into());
-        let seq = db.retrieve(&q, &level, 50).unwrap();
-        let par = db.retrieve_parallel(&q, &level, 50).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!((a.video, a.pos), (b.video, b.pos));
-            assert!((a.sim.act - b.sim.act).abs() < 1e-12);
-        }
     }
 }

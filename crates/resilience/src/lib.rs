@@ -8,13 +8,14 @@
 //! transient failures under a [`RetryPolicy`] before giving up with a
 //! typed [`ProviderError`].
 //!
-//! Determinism is the load-bearing property: the engine may evaluate the
-//! same subformula once (sequentially, memoized) or twice (two parallel
-//! workers racing past the memo), and a fault schedule keyed on global
-//! call order would diverge between the two. Content-addressed decisions
-//! make the injected world a function of *what* is asked, not *when*, so
-//! chaos runs are bit-reproducible across sequential and parallel engines
-//! — which is what lets the chaos suite assert outcome equality.
+//! Determinism is the load-bearing property: the same call may be made
+//! once (memoized) or several times (memo off, or concurrently served
+//! requests interleaving on one provider), and a fault schedule keyed on
+//! global call order would diverge between the two. Content-addressed
+//! decisions make the injected world a function of *what* is asked, not
+//! *when*, so chaos runs are bit-reproducible across memo settings and
+//! worker counts — which is what lets the chaos suite assert outcome
+//! equality.
 
 pub mod replica;
 
@@ -195,10 +196,10 @@ impl RetryPolicy {
 ///
 /// The retry loop and the fault schedule live in the *same* wrapper on
 /// purpose: the attempt index feeding [`FaultPlan::decide`] is local to
-/// one logical call, so a memo race that evaluates the same subformula
-/// twice replays the identical attempt sequence and reaches the identical
-/// outcome — stacking a retrying wrapper over a separately-stateful fault
-/// wrapper would not.
+/// one logical call, so a repeated call of the same subformula replays
+/// the identical attempt sequence and reaches the identical outcome —
+/// stacking a retrying wrapper over a separately-stateful fault wrapper
+/// would not.
 ///
 /// Per-request accounting hangs off an *epoch*: the serving layer bumps
 /// [`FaultyProvider::set_epoch`] before each request, which re-keys the
@@ -286,10 +287,8 @@ impl<P: AtomicProvider> FaultyProvider<P> {
     /// into another's mid-flight.
     ///
     /// The override is thread-local and process-wide (shared by every
-    /// `FaultyProvider`), and does **not** propagate to threads the
-    /// engine's intra-query fan-out spawns — pair it with
-    /// [`simvid_core::ParallelConfig::sequential`] when per-request
-    /// determinism matters.
+    /// `FaultyProvider`). The engine evaluates each request on the calling
+    /// thread, so every call of the request sees the pinned epoch.
     pub fn set_thread_epoch(&self, epoch: u64) {
         THREAD_EPOCH.set(Some(epoch));
     }
@@ -310,9 +309,10 @@ impl<P: AtomicProvider> FaultyProvider<P> {
 
     /// How many faults were injected while `epoch` was current. Zero means
     /// the epoch's request observed a pristine provider — its results must
-    /// be bit-identical to a fault-free run. (Parallel memo races can
-    /// repeat a call and re-inject its faults, so nonzero counts are
-    /// schedule-dependent; the zero/nonzero distinction is not.)
+    /// be bit-identical to a fault-free run. (Repeated calls — memo off,
+    /// or concurrent requests on one epoch — re-inject their faults, so
+    /// nonzero counts depend on how the calls were made; the zero/nonzero
+    /// distinction does not.)
     pub fn faults_in_epoch(&self, epoch: u64) -> u64 {
         self.faults_by_epoch
             .lock()

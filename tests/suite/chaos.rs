@@ -4,14 +4,14 @@
 //! The fault schedule is content-addressed (a pure function of plan seed,
 //! request epoch, call key and attempt), so a chaos run is a *replayable
 //! world*: the same seed and plan must produce identical per-request
-//! outcomes, bounds and reasons — run twice, and across sequential and
-//! parallel engines. On top of determinism, the suite checks the
+//! outcomes, bounds and reasons — run twice, and with the engine's memo
+//! on or off. On top of determinism, the suite checks the
 //! degradation contract: requests whose epoch saw no fault are
 //! bit-identical to a fault-free run, and degraded answers bracket the
 //! truth (listed values are lower bounds, interval bounds are upper
 //! bounds, for every position of the sequence).
 
-use simvid_core::{Engine, EngineConfig, Interval, ParallelConfig};
+use simvid_core::{Engine, EngineConfig, Interval};
 use simvid_htl::parse;
 use simvid_model::{CorpusOp, VideoBuilder, VideoStore, VideoTree};
 use simvid_obs::Registry;
@@ -52,23 +52,6 @@ fn aggressive_policy() -> RetryPolicy {
     }
 }
 
-fn sequential() -> EngineConfig {
-    EngineConfig {
-        parallel: ParallelConfig::sequential(),
-        ..EngineConfig::default()
-    }
-}
-
-fn parallel() -> EngineConfig {
-    EngineConfig {
-        parallel: ParallelConfig {
-            max_threads: 4,
-            min_seqs_per_thread: 1,
-        },
-        ..EngineConfig::default()
-    }
-}
-
 /// Replays the schedule under `plan`; returns the run plus, per request,
 /// whether its epoch ran pristine (zero injected faults).
 fn chaos_run(w: &ServeWorkload, plan: FaultPlan, cfg: EngineConfig) -> (ResilientRun, Vec<bool>) {
@@ -95,8 +78,8 @@ fn bound_at(bounds: &[(Interval, f64)], pos: u32) -> Option<f64> {
 #[test]
 fn same_seed_and_plan_replays_identically() {
     let w = serve::build(&small_cfg());
-    let (a, pa) = chaos_run(&w, hot_plan(), sequential());
-    let (b, pb) = chaos_run(&w, hot_plan(), sequential());
+    let (a, pa) = chaos_run(&w, hot_plan(), EngineConfig::default());
+    let (b, pb) = chaos_run(&w, hot_plan(), EngineConfig::default());
     assert_eq!(a.reports, b.reports, "chaos runs must be replayable");
     assert_eq!(pa, pb, "pristine-epoch sets must be replayable");
     assert!(
@@ -108,17 +91,23 @@ fn same_seed_and_plan_replays_identically() {
         seed: hot_plan().seed ^ 0x5eed,
         ..hot_plan()
     };
-    let (c, _) = chaos_run(&w, other, sequential());
+    let (c, _) = chaos_run(&w, other, EngineConfig::default());
     assert_ne!(a.reports, c.reports, "the seed must matter");
 }
 
 #[test]
-fn sequential_and_parallel_engines_agree_under_chaos() {
+fn memoized_and_unmemoized_engines_agree_under_chaos() {
+    // Without the memo a request repeats provider calls; content-addressed
+    // faults make every repeat replay the first call's outcome.
     let w = serve::build(&small_cfg());
-    let (seq, pseq) = chaos_run(&w, hot_plan(), sequential());
-    let (par, ppar) = chaos_run(&w, hot_plan(), parallel());
-    assert_eq!(pseq, ppar, "fault injection must not depend on threading");
-    for (r, (a, b)) in seq.reports.iter().zip(&par.reports).enumerate() {
+    let (memo, pmemo) = chaos_run(&w, hot_plan(), EngineConfig::default());
+    let plain = EngineConfig {
+        memoize: false,
+        ..EngineConfig::default()
+    };
+    let (rerun, prerun) = chaos_run(&w, hot_plan(), plain);
+    assert_eq!(pmemo, prerun, "fault injection must not depend on the memo");
+    for (r, (a, b)) in memo.reports.iter().zip(&rerun.reports).enumerate() {
         assert_eq!(a.outcome, b.outcome, "request {r}: outcomes diverged");
         assert_eq!(a.ranked, b.ranked, "request {r}: rankings diverged");
         assert_eq!(
@@ -145,7 +134,7 @@ fn fault_free_requests_are_bit_identical_and_degraded_answers_bracket_truth() {
         .map(|q| truth_engine.eval_closed_at_level(q, w.depth()).unwrap())
         .collect();
     let truth_run = serve::run_schedule(&w, &truth_engine);
-    let (run, pristine) = chaos_run(&w, hot_plan(), sequential());
+    let (run, pristine) = chaos_run(&w, hot_plan(), EngineConfig::default());
     let mut checked_degraded = 0;
     for (r, report) in run.reports.iter().enumerate() {
         if pristine[r] {
@@ -280,7 +269,7 @@ fn default_length_schedule_never_aborts_and_classifies_every_request() {
     };
     assert_eq!(cfg.requests, 200);
     let w = serve::build(&cfg);
-    let (run, _) = chaos_run(&w, FaultPlan::chaos_default(), parallel());
+    let (run, _) = chaos_run(&w, FaultPlan::chaos_default(), EngineConfig::default());
     assert_eq!(run.reports.len(), 200);
     let (ok, degraded, failed) = (
         run.count(RequestOutcome::Ok),

@@ -16,7 +16,7 @@
 //! epochs, every request's fault exposure is a pure function of its
 //! schedule slot — replayable at any worker count.
 
-use simvid_core::{Engine, EngineConfig, ParallelConfig};
+use simvid_core::{Engine, EngineConfig};
 use simvid_obs::Registry;
 use simvid_picture::{CacheConfig, PictureSystem, ScoringConfig};
 use simvid_resilience::{FaultPlan, FaultyProvider, RetryPolicy};
@@ -32,15 +32,6 @@ fn small_cfg() -> ServeConfig {
         shots: 24,
         requests: 40,
         ..ServeConfig::default()
-    }
-}
-
-/// Intra-query evaluation stays on the worker thread, so the worker's
-/// thread-pinned fault epoch governs every provider call of its request.
-fn sequential_engine() -> EngineConfig {
-    EngineConfig {
-        parallel: ParallelConfig::sequential(),
-        ..EngineConfig::default()
     }
 }
 
@@ -151,7 +142,7 @@ fn chaos_epoch_reports_identical_across_worker_counts() {
         aggressive_policy(),
         &Arc::new(Registry::new()),
     );
-    let engine = Engine::with_config(&faulty, &w.tree, sequential_engine());
+    let engine = Engine::new(&faulty, &w.tree);
     let sequential = serve::run_schedule_resilient(&w, &engine, RequestLimits::default(), |r| {
         faulty.set_epoch(r as u64 + 1)
     });
@@ -169,10 +160,12 @@ fn chaos_epoch_reports_identical_across_worker_counts() {
             PictureSystem::with_cache(&w.tree, ScoringConfig::default(), CacheConfig::disabled());
         let faulty = FaultyProvider::with_registry(sys, hot_plan(), aggressive_policy(), &registry);
         let faulty = &faulty;
+        // Evaluation stays on the worker thread, so the worker's pinned
+        // fault epoch governs every provider call of its request.
         let run = serve::run_schedule_resilient_concurrent(
             &w,
             faulty,
-            sequential_engine(),
+            EngineConfig::default(),
             &registry,
             RequestLimits::default(),
             &ExecutorConfig::with_workers(workers),

@@ -9,8 +9,7 @@
 //! --metrics` flag and the CI bench gate rely on.
 
 use simvid_core::{
-    AtomicProvider, Engine, EngineConfig, ParallelConfig, SeqContext, SimilarityList,
-    SimilarityTable, ValueTable,
+    AtomicProvider, Engine, EngineConfig, SeqContext, SimilarityList, SimilarityTable, ValueTable,
 };
 use simvid_htl::{parse, AtomicUnit, AttrFn};
 use simvid_obs::{MetricValue, Registry, Snapshot};
@@ -77,32 +76,44 @@ fn counters_are_identical_across_sequential_and_parallel_engines() {
     let f =
         parse("(at shot level (P1() until P2())) and eventually at shot level (P1() until P2())")
             .unwrap();
-    let snapshot_for = |parallel: ParallelConfig| -> Snapshot {
+    let cfg = EngineConfig {
+        memoize: false,
+        ..EngineConfig::default()
+    };
+    const RUNS: usize = 4;
+    // One engine evaluating the query RUNS times on this thread...
+    let sequential: Snapshot = {
         let registry = Arc::new(Registry::new());
-        let engine = Engine::with_registry(
-            &provider,
-            &tree,
-            EngineConfig {
-                memoize: false,
-                parallel,
-                ..EngineConfig::default()
-            },
-            registry.clone(),
-        );
-        engine.eval_closed_at_level(&f, 1).unwrap();
+        let engine = Engine::with_registry(&provider, &tree, cfg, registry.clone());
+        for _ in 0..RUNS {
+            engine.eval_closed_at_level(&f, 1).unwrap();
+        }
         registry.snapshot()
     };
-    let sequential = snapshot_for(ParallelConfig::sequential());
-    let parallel = snapshot_for(ParallelConfig {
-        max_threads: 4,
-        min_seqs_per_thread: 1,
-    });
+    // ...against RUNS engines on parallel threads sharing one registry,
+    // released together so their counter updates interleave.
+    let parallel: Snapshot = {
+        let registry = Arc::new(Registry::new());
+        let start = std::sync::Barrier::new(RUNS);
+        std::thread::scope(|scope| {
+            for _ in 0..RUNS {
+                let (provider, tree, f, start) = (&provider, &tree, &f, &start);
+                let registry = Arc::clone(&registry);
+                scope.spawn(move || {
+                    let engine = Engine::with_registry(provider, tree, cfg, registry);
+                    start.wait();
+                    engine.eval_closed_at_level(f, 1).unwrap();
+                });
+            }
+        });
+        registry.snapshot()
+    };
     // Counts are scheduling-independent; only the timing histograms (which
     // `deterministic()` excludes) may differ between the two runs.
     assert_eq!(
         sequential.deterministic(),
         parallel.deterministic(),
-        "engine work counters must not depend on thread fan-out"
+        "engine work counters must not depend on which threads evaluated"
     );
     assert!(
         sequential

@@ -1,61 +1,59 @@
-//! Determinism of the parallel, memoizing evaluation engine.
+//! Determinism of evaluation under every execution strategy.
 //!
-//! Parallel fan-out and memoization are pure execution strategies: every
-//! configuration of [`ParallelConfig`] and `memoize` must produce results
-//! *bit-identical* to fully sequential, un-memoized evaluation — on the
-//! paper's Casablanca fixture, on random hierarchical videos, and (for the
-//! hash-partitioned join) on random similarity tables, where the output
-//! must match the old nested-loop join row for row.
+//! The engine evaluates one query sequentially; what varies is the memo
+//! layer and, in serving, how many requests run in parallel — each on its
+//! own engine, all sharing one provider and its cache. Neither may change
+//! a result: memoized evaluation and parallel requests must be
+//! *bit-identical* to un-memoized evaluation on one thread — on the
+//! paper's Casablanca fixture, on random hierarchical videos and on random
+//! lists. The hash-partitioned join must match the old nested-loop join
+//! row for row on random similarity tables.
 
 use proptest::prelude::*;
 use simvid_core::{
-    list, AtomicProvider, Engine, EngineConfig, ParallelConfig, Row, SeqContext, SimilarityList,
-    SimilarityTable, ValueTable,
+    list, AtomicProvider, Engine, EngineConfig, Row, SeqContext, SimilarityList, SimilarityTable,
+    ValueTable,
 };
 use simvid_htl::{parse, AtomicUnit, AttrFn, Formula};
-use simvid_picture::PictureSystem;
+use simvid_picture::{PictureSystem, ScoringConfig};
 use simvid_workload::randomtables::{generate as generate_table, TableGenConfig};
 use simvid_workload::randomvideo::{generate as generate_video, VideoGenConfig};
 use simvid_workload::{casablanca, randomlists};
 use std::sync::Arc;
 
-/// Every engine configuration under test: sequential baseline, aggressive
-/// thread fan-out, memoized, and both combined.
+/// Every engine configuration under test: the un-memoized baseline first,
+/// then the memo layer on.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
-    let base = EngineConfig {
+    let plain = EngineConfig {
         memoize: false,
-        parallel: ParallelConfig::sequential(),
         ..EngineConfig::default()
     };
-    let fanout = ParallelConfig {
-        max_threads: 4,
-        min_seqs_per_thread: 1,
-    };
     vec![
-        ("sequential", base),
-        (
-            "parallel",
-            EngineConfig {
-                parallel: fanout,
-                ..base
-            },
-        ),
+        ("plain", plain),
         (
             "memoized",
             EngineConfig {
                 memoize: true,
-                ..base
-            },
-        ),
-        (
-            "parallel+memoized",
-            EngineConfig {
-                memoize: true,
-                parallel: fanout,
-                ..base
+                ..plain
             },
         ),
     ]
+}
+
+/// Queries over random hierarchical videos: quantifiers, `until` and a
+/// level modal.
+const RANDOM_VIDEO_QUERIES: [&str; 3] = [
+    "exists x . person(x) and eventually (exists y . near(x, y))",
+    "(exists x . moving(x)) until (exists y . holds_gun(y))",
+    "at level 3 ((exists x . person(x)) until (exists y . horse(y)))",
+];
+
+fn random_video(seed: u64) -> simvid_model::VideoTree {
+    let cfg = VideoGenConfig {
+        branching: vec![5, 6],
+        ..VideoGenConfig::default()
+    };
+    generate_video(&cfg, seed)
 }
 
 #[test]
@@ -73,30 +71,21 @@ fn casablanca_query1_is_identical_under_every_config() {
                 simvid_tests::assert_tuples(
                     &out.to_tuples(),
                     casablanca::QUERY1_LIST,
-                    "query 1 under the sequential config",
+                    "query 1 without the memo",
                 );
                 baseline = Some(out);
             }
-            Some(b) => assert_eq!(&out, b, "config `{name}` diverged from sequential"),
+            Some(b) => assert_eq!(&out, b, "config `{name}` diverged from plain"),
         }
     }
 }
 
 #[test]
 fn random_videos_are_identical_under_every_config() {
-    let queries = [
-        "exists x . person(x) and eventually (exists y . near(x, y))",
-        "(exists x . moving(x)) until (exists y . holds_gun(y))",
-        "at level 3 ((exists x . person(x)) until (exists y . horse(y)))",
-    ];
     for seed in 0..4u64 {
-        let cfg = VideoGenConfig {
-            branching: vec![5, 6],
-            ..VideoGenConfig::default()
-        };
-        let tree = generate_video(&cfg, seed);
-        let sys = PictureSystem::new(&tree, simvid_picture::ScoringConfig::default());
-        for src in queries {
+        let tree = random_video(seed);
+        let sys = PictureSystem::new(&tree, ScoringConfig::default());
+        for src in RANDOM_VIDEO_QUERIES {
             let f = parse(src).unwrap();
             let mut baseline: Option<SimilarityList> = None;
             for (name, cfg) in configs() {
@@ -111,6 +100,44 @@ fn random_videos_are_identical_under_every_config() {
             }
         }
     }
+}
+
+#[test]
+fn parallel_requests_sharing_a_provider_are_identical_to_one_thread() {
+    let tree = random_video(3);
+    let queries: Vec<Formula> = RANDOM_VIDEO_QUERIES
+        .iter()
+        .map(|q| parse(q).unwrap())
+        .collect();
+    let expected: Vec<SimilarityList> = {
+        let sys = PictureSystem::new(&tree, ScoringConfig::default());
+        let engine = Engine::new(&sys, &tree);
+        queries
+            .iter()
+            .map(|f| engine.eval_closed_at_level(f, 1).unwrap())
+            .collect()
+    };
+    // One cold cached system shared by four threads, each with its own
+    // engine and its own query order, released together so cache misses,
+    // hits and coalesced waits interleave.
+    const THREADS: usize = 4;
+    let shared = PictureSystem::new(&tree, ScoringConfig::default());
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (shared, tree, queries, expected) = (&shared, &tree, &queries, &expected);
+            let start = &start;
+            scope.spawn(move || {
+                let engine = Engine::new(shared, tree);
+                start.wait();
+                for i in 0..queries.len() {
+                    let q = (i + t) % queries.len();
+                    let out = engine.eval_closed_at_level(&queries[q], 1).unwrap();
+                    assert_eq!(out, expected[q], "thread {t}: `{}` diverged", queries[q]);
+                }
+            });
+        }
+    });
 }
 
 /// A provider serving two fixed random lists for `P1()` / `P2()`, sliced
@@ -146,8 +173,8 @@ impl AtomicProvider for TwoLists {
 #[test]
 fn random_list_workloads_are_identical_under_every_config() {
     // A scene/shot hierarchy over random shot-level lists, so the
-    // level-modal fan-out, the parallel binary branches and the memo all
-    // engage (`P1()` repeats in the query).
+    // level-modal descents, both binary operators and the memo all engage
+    // (`P1()` repeats in the query).
     let scenes = 24u32;
     let shots_per_scene = 40u32;
     let n = scenes * shots_per_scene;
@@ -175,7 +202,7 @@ fn random_list_workloads_are_identical_under_every_config() {
         let out = engine.eval_closed_at_level(&f, 1).unwrap();
         match &baseline {
             None => baseline = Some(out),
-            Some(b) => assert_eq!(&out, b, "config `{name}` diverged from sequential"),
+            Some(b) => assert_eq!(&out, b, "config `{name}` diverged from plain"),
         }
     }
 }
