@@ -648,6 +648,19 @@ fn main() {
     if sections.is_empty() {
         sections.push("all".into());
     }
+    let unknown: Vec<&str> = sections
+        .iter()
+        .map(String::as_str)
+        .filter(|s| !SECTIONS.contains(s))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "repro: unknown section(s): {}\nknown sections: {}",
+            unknown.join(", "),
+            SECTIONS.join(", ")
+        );
+        std::process::exit(2);
+    }
     let json_to_stdout = json_path.as_deref() == Some("-");
     let metrics_to_stdout = metrics_target.as_deref() == Some("-");
     if json_to_stdout || metrics_to_stdout {

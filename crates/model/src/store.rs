@@ -20,6 +20,7 @@
 
 use crate::{SegmentId, VideoId, VideoTree};
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// Reference to one segment of one video in a store.
 ///
@@ -129,9 +130,13 @@ impl AppliedBatch {
 /// Slots are `Option` so removal tombstones an id instead of shifting
 /// later videos down: ids handed out by [`add`](VideoStore::add) stay
 /// stable for the life of the store (and across JSON round-trips).
+///
+/// Each tree sits behind an `Arc`, so `clone()` copies one pointer per
+/// slot and every clone — a staged batch, a [`CorpusLog`] base, a
+/// serving snapshot — shares the trees rather than copying them.
 #[derive(Debug, Clone, Default)]
 pub struct VideoStore {
-    slots: Vec<Option<VideoTree>>,
+    slots: Vec<Option<Arc<VideoTree>>>,
     epoch: u64,
 }
 
@@ -148,7 +153,7 @@ impl VideoStore {
     /// store is live).
     pub fn add(&mut self, video: VideoTree) -> VideoId {
         let id = VideoId(self.slots.len() as u32);
-        self.slots.push(Some(video));
+        self.slots.push(Some(Arc::new(video)));
         id
     }
 
@@ -156,14 +161,14 @@ impl VideoStore {
     #[must_use]
     pub fn video(&self, id: VideoId) -> &VideoTree {
         self.slots[id.0 as usize]
-            .as_ref()
+            .as_deref()
             .unwrap_or_else(|| panic!("video id {} is removed", id.0))
     }
 
     /// Looks up a video if the id is in range and not removed.
     #[must_use]
     pub fn get(&self, id: VideoId) -> Option<&VideoTree> {
-        self.slots.get(id.0 as usize).and_then(Option::as_ref)
+        self.slots.get(id.0 as usize).and_then(Option::as_deref)
     }
 
     /// Whether `id` names a live (allocated, not removed) video.
@@ -199,6 +204,12 @@ impl VideoStore {
 
     /// Iterates over all live videos with their ids.
     pub fn iter(&self) -> impl Iterator<Item = (VideoId, &VideoTree)> + '_ {
+        self.iter_shared().map(|(id, v)| (id, &**v))
+    }
+
+    /// Iterates over all live videos with their ids, yielding the shared
+    /// tree handles so a caller can hold a tree without copying it.
+    pub fn iter_shared(&self) -> impl Iterator<Item = (VideoId, &Arc<VideoTree>)> + '_ {
         self.slots
             .iter()
             .enumerate()
@@ -236,11 +247,11 @@ impl VideoStore {
             match op {
                 CorpusOp::Ingest(tree) => {
                     let id = VideoId(self.slots.len() as u32);
-                    self.slots.push(Some(tree.clone()));
+                    self.slots.push(Some(Arc::new(tree.clone())));
                     batch.ingested.push(id);
                 }
                 CorpusOp::Update(id, tree) => {
-                    self.slots[id.0 as usize] = Some(tree.clone());
+                    self.slots[id.0 as usize] = Some(Arc::new(tree.clone()));
                     batch.updated.push(*id);
                 }
                 CorpusOp::Remove(id) => {
@@ -277,7 +288,7 @@ impl Deserialize for VideoStore {
                 v.kind()
             )));
         };
-        let slots = Vec::<Option<VideoTree>>::from_value(serde::field(fields, "videos"))?;
+        let slots = Vec::<Option<Arc<VideoTree>>>::from_value(serde::field(fields, "videos"))?;
         let epoch = match serde::field(fields, "epoch") {
             Value::Null => 0,
             e => u64::from_value(e)?,
@@ -409,6 +420,24 @@ mod tests {
         s.add(tiny("y"));
         let titles: Vec<&str> = s.iter().map(|(_, v)| v.title()).collect();
         assert_eq!(titles, vec!["x", "y"]);
+    }
+
+    #[test]
+    fn clone_shares_every_tree() {
+        let mut s = VideoStore::new();
+        let a = s.add(tiny("a"));
+        s.add(tiny("b"));
+        s.apply(&[CorpusOp::Remove(a), CorpusOp::Ingest(tiny("c"))])
+            .unwrap();
+        let c = s.clone();
+        assert_eq!(c.slot_count(), s.slot_count());
+        assert!(!c.contains(a), "the tombstone is cloned as a tombstone");
+        let pairs: Vec<_> = s.iter_shared().zip(c.iter_shared()).collect();
+        assert_eq!(pairs.len(), s.len());
+        for ((id, tree), (cid, ctree)) in pairs {
+            assert_eq!(id, cid);
+            assert!(Arc::ptr_eq(tree, ctree), "video {} was copied", id.0);
+        }
     }
 
     #[test]

@@ -24,6 +24,21 @@
 //! account the warm tables destroyed vs. preserved by each swap, so "we
 //! invalidate exactly the mutated videos" is measurable, not aspirational.
 //!
+//! Writes stay off the read path. Two locks split the state: a writer
+//! mutex over the store, the [`CorpusLog`] and the generation counter
+//! serialises [`LiveVideoDb::apply`], which stages, validates and builds
+//! fresh members under it; a snapshot mutex over the published
+//! `Arc<LiveSnapshot>` is held only to clone or swap that `Arc`.
+//! [`LiveVideoDb::pin`] and [`LiveVideoDb::epoch`] take only the
+//! snapshot lock, so they never wait behind a batch: mid-apply they see
+//! the pre-batch epoch, and the batch publishes with one pointer swap.
+//! The retired snapshot drops after both locks are released.
+//!
+//! Trees are shared, not copied. [`VideoStore`] holds each tree in an
+//! `Arc`, so the writer's store, the log's base, a staged batch and
+//! every member point at one tree per video; staging a batch copies one
+//! pointer per video and `apply` costs O(touched videos).
+//!
 //! Failure atomicity: a batch either commits in full or leaves the store,
 //! log and snapshot untouched at the pre-batch epoch. The rebuild of
 //! fresh members runs *before* anything is published, and an injected
@@ -140,10 +155,11 @@ impl fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
-struct Inner {
+/// The writer's state behind the writer lock: only `apply` mutates it,
+/// and readers never take that lock.
+struct Writer {
     store: VideoStore,
     log: CorpusLog,
-    snapshot: Arc<LiveSnapshot>,
     next_generation: u64,
 }
 
@@ -153,7 +169,9 @@ struct Inner {
 pub struct LiveVideoDb {
     cfg: LiveConfig,
     registry: Arc<Registry>,
-    inner: Mutex<Inner>,
+    writer: Mutex<Writer>,
+    /// The published snapshot. Held only to clone or swap the `Arc`.
+    snapshot: Mutex<Arc<LiveSnapshot>>,
     evicted: Arc<simvid_obs::Counter>,
     retained: Arc<simvid_obs::Counter>,
     epoch_gauge: Arc<simvid_obs::Gauge>,
@@ -175,12 +193,12 @@ impl LiveVideoDb {
         let epoch = store.epoch();
         let mut next_generation = 0;
         let mut shards: Vec<Vec<Arc<LiveMember>>> = (0..cfg.shards).map(|_| Vec::new()).collect();
-        for (video, tree) in store.iter() {
+        for (video, tree) in store.iter_shared() {
             let member = build_member(
                 &cfg,
                 &registry,
                 video,
-                Arc::new(tree.clone()),
+                Arc::clone(tree),
                 epoch,
                 next_generation,
             );
@@ -198,12 +216,12 @@ impl LiveVideoDb {
             evicted: registry.counter("cache.invalidation.evicted"),
             retained: registry.counter("cache.invalidation.retained"),
             epoch_gauge,
-            inner: Mutex::new(Inner {
+            writer: Mutex::new(Writer {
                 log: CorpusLog::starting_from(store.clone()),
                 store,
-                snapshot,
                 next_generation,
             }),
+            snapshot: Mutex::new(snapshot),
             cfg,
             registry,
             apply_faults: None,
@@ -232,10 +250,17 @@ impl LiveVideoDb {
         &self.cfg
     }
 
-    /// The current (head) corpus epoch.
+    /// The current (head) corpus epoch: the epoch of the published
+    /// snapshot. Never waits behind an in-progress [`LiveVideoDb::apply`].
     #[must_use]
     pub fn epoch(&self) -> CorpusEpoch {
-        self.inner.lock().expect("live store lock").store.epoch()
+        self.published().epoch
+    }
+
+    /// The published snapshot: an `Arc` clone under the snapshot lock,
+    /// which no one holds for longer than a clone or a swap.
+    fn published(&self) -> Arc<LiveSnapshot> {
+        Arc::clone(&self.snapshot.lock().expect("live snapshot lock"))
     }
 
     /// Rebuilds the store at `epoch` from scratch by replaying the
@@ -247,21 +272,21 @@ impl LiveVideoDb {
     /// head epoch.
     #[must_use]
     pub fn replay_to(&self, epoch: CorpusEpoch) -> VideoStore {
-        self.inner
+        self.writer
             .lock()
-            .expect("live store lock")
+            .expect("live writer lock")
             .log
             .replay_to(epoch)
     }
 
-    /// Pins the current snapshot: a cheap `Arc` clone under a brief lock.
+    /// Pins the current snapshot: a cheap `Arc` clone under the snapshot
+    /// lock, which an in-progress [`LiveVideoDb::apply`] does not hold.
     /// Queries on the pin see exactly the pinned epoch however many
     /// batches are applied concurrently.
     #[must_use]
     pub fn pin(&self) -> LivePin {
-        let inner = self.inner.lock().expect("live store lock");
         LivePin {
-            snapshot: Arc::clone(&inner.snapshot),
+            snapshot: self.published(),
             engine_cfg: self.cfg.engine,
             registry: Arc::clone(&self.registry),
         }
@@ -269,10 +294,13 @@ impl LiveVideoDb {
 
     /// Applies a mutation batch atomically: validates it, rebuilds the
     /// affected members aside, and only then publishes the new snapshot
-    /// and epoch. Untouched videos keep their member — and every warm
-    /// cache — by reference; `cache.invalidation.retained` accounts their
-    /// surviving tables, `cache.invalidation.evicted` the tables dropped
-    /// with updated/removed members.
+    /// and epoch with one pointer swap. Batches are serialised by the
+    /// writer lock; readers ([`LiveVideoDb::pin`], [`LiveVideoDb::epoch`])
+    /// never wait for one. Staging copies one `Arc` per video, so the
+    /// cost is O(touched videos). Untouched videos keep their member —
+    /// and every warm cache — by reference; `cache.invalidation.retained`
+    /// accounts their surviving tables, `cache.invalidation.evicted` the
+    /// tables dropped with updated/removed members.
     ///
     /// # Errors
     ///
@@ -281,13 +309,15 @@ impl LiveVideoDb {
     /// leave the store at the pre-batch epoch with the old snapshot
     /// intact.
     pub fn apply(&self, ops: &[CorpusOp]) -> Result<AppliedBatch, ApplyError> {
-        let mut inner = self.inner.lock().expect("live store lock");
-        let mut staged = inner.store.clone();
+        let mut writer = self.writer.lock().expect("live writer lock");
+        let mut staged = writer.store.clone();
         let batch = staged.apply(ops).map_err(ApplyError::Rejected)?;
         let epoch = batch.epoch;
 
-        let reuse: HashMap<u32, &Arc<LiveMember>> = inner
-            .snapshot
+        // Only `apply` publishes, and it holds the writer lock, so this is
+        // the snapshot the batch builds on.
+        let current = self.published();
+        let reuse: HashMap<u32, &Arc<LiveMember>> = current
             .shards
             .iter()
             .flatten()
@@ -299,11 +329,11 @@ impl LiveVideoDb {
             .map(|v| v.0)
             .collect();
 
-        let mut next_generation = inner.next_generation;
+        let mut next_generation = writer.next_generation;
         let mut shards: Vec<Vec<Arc<LiveMember>>> =
             (0..self.cfg.shards).map(|_| Vec::new()).collect();
         let mut retained = 0u64;
-        for (video, tree) in staged.iter() {
+        for (video, tree) in staged.iter_shared() {
             let member = match reuse.get(&video.0) {
                 Some(m) if !touched.contains(&video.0) => {
                     retained += m.resident_tables();
@@ -330,7 +360,7 @@ impl LiveVideoDb {
                         &self.cfg,
                         &self.registry,
                         video,
-                        Arc::new(tree.clone()),
+                        Arc::clone(tree),
                         epoch,
                         gen,
                     )
@@ -344,18 +374,27 @@ impl LiveVideoDb {
             .map(|m| m.resident_tables())
             .sum();
 
-        // Point of no return: publish everything together.
-        inner.store = staged;
-        inner.log.record(ops);
-        inner.snapshot = Arc::new(LiveSnapshot {
+        // Point of no return: commit the writer state, then publish the
+        // snapshot with one pointer swap.
+        writer.store = staged;
+        writer.log.record(ops);
+        writer.next_generation = next_generation;
+        let next = Arc::new(LiveSnapshot {
             epoch,
             replicas: self.cfg.replicas,
             shards,
         });
-        inner.next_generation = next_generation;
+        let retired = std::mem::replace(
+            &mut *self.snapshot.lock().expect("live snapshot lock"),
+            next,
+        );
         self.evicted.add(evicted);
         self.retained.add(retained);
         self.epoch_gauge.set(epoch.0 as i64);
+        drop(writer);
+        // The retired snapshot (and with it any replaced member no pin
+        // still holds) drops here, outside both locks.
+        drop((current, retired));
         Ok(batch)
     }
 }
@@ -724,6 +763,49 @@ mod tests {
         let snap = db.registry().snapshot();
         assert!(snap.counter("cache.invalidation.retained").unwrap_or(0) > 0);
         assert_eq!(snap.gauge("corpus.epoch"), Some(1));
+    }
+
+    /// Asserts that every member of the published snapshot holds the very
+    /// tree `Arc` the writer's store holds for its video.
+    fn assert_members_share_store_trees(db: &LiveVideoDb) {
+        let writer = db.writer.lock().unwrap();
+        let pin = db.pin();
+        assert_eq!(pin.video_count(), writer.store.len());
+        for (video, tree) in writer.store.iter_shared() {
+            let member = pin.member(video).expect("live video has a member");
+            assert!(
+                Arc::ptr_eq(&member.tree, tree),
+                "video {} must share the store's tree",
+                video.0
+            );
+        }
+    }
+
+    #[test]
+    fn members_share_the_store_trees_instead_of_copying_them() {
+        let db = live(2, 2);
+        assert_members_share_store_trees(&db);
+        // The log base shares them too: replaying to the base epoch
+        // clones the base, which copies pointers only.
+        let base = db.replay_to(CorpusEpoch(0));
+        for (video, tree) in base.iter_shared() {
+            assert!(Arc::ptr_eq(&db.pin().member(video).unwrap().tree, tree));
+        }
+
+        let before = db.pin();
+        db.apply(&[CorpusOp::Update(VideoId(2), video("c2", &[true]))])
+            .unwrap();
+        assert_members_share_store_trees(&db);
+        let after = db.pin();
+        for v in [0u32, 1, 3] {
+            assert!(
+                Arc::ptr_eq(
+                    &before.member(VideoId(v)).unwrap().tree,
+                    &after.member(VideoId(v)).unwrap().tree
+                ),
+                "untouched video {v} keeps its tree across the apply"
+            );
+        }
     }
 
     #[test]

@@ -18,11 +18,13 @@ use simvid_htl::parse;
 use simvid_model::{CorpusOp, VideoBuilder, VideoId, VideoStore, VideoTree};
 use simvid_obs::Registry;
 use simvid_picture::{CacheConfig, LiveConfig, LiveVideoDb, ScoringConfig, ShardedVideoDb};
+use simvid_resilience::FaultPlan;
 use simvid_workload::churn::{
     build_churn, run_schedule_churn, run_schedule_churn_concurrent, ChurnConfig,
 };
 use simvid_workload::serve::ExecutorConfig;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A video whose shots follow `pattern`: `0` — no match, `1` — a person
 /// without a gun (partial match), `2` — an armed person (full match).
@@ -328,4 +330,41 @@ fn pinned_snapshots_answer_their_own_epoch_after_later_mutations() {
         &old_oracle[..],
         "the old pin must keep serving its pinned epoch"
     );
+}
+
+/// Readers never wait on the writer: while an `apply` is stalled inside
+/// its member rebuild (an injected 2 s delay), `pin()` and `epoch()`
+/// return at once with the pre-batch epoch. Once the apply joins, both
+/// report the new one.
+#[test]
+fn pin_and_epoch_do_not_wait_behind_an_in_progress_apply() {
+    let patterns: Vec<Vec<u8>> = vec![vec![2, 0, 1], vec![1, 2]];
+    let db = live(store_from(&patterns), 2, 1).with_apply_faults(FaultPlan {
+        latency_rate: 1.0,
+        latency: Duration::from_secs(2),
+        ..FaultPlan::quiet(7)
+    });
+    let before = db.epoch();
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| db.apply(&[CorpusOp::Ingest(video("slow", &[2, 2]))]));
+        // Let the writer reach its stall before probing the readers.
+        std::thread::sleep(Duration::from_millis(200));
+        let mut probes = 0;
+        while !handle.is_finished() && probes < 10 {
+            let pin = db.pin();
+            let epoch = db.epoch();
+            if handle.is_finished() {
+                break;
+            }
+            assert_eq!(pin.epoch(), before, "a mid-apply pin is pre-batch");
+            assert_eq!(epoch, before, "a mid-apply epoch is pre-batch");
+            probes += 1;
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert!(probes > 0, "the apply finished before any reader probed it");
+        let batch = handle.join().unwrap().expect("delayed batch applies");
+        assert_eq!(batch.epoch, before.next());
+        assert_eq!(db.epoch(), batch.epoch);
+        assert_eq!(db.pin().epoch(), batch.epoch);
+    });
 }

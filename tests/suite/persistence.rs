@@ -149,3 +149,50 @@ fn json_is_stable_across_double_round_trip() {
     let twice = serde_json::to_string(&round_trip(&round_trip(&store))).unwrap();
     assert_eq!(once, twice);
 }
+
+fn one_shot(title: &str) -> VideoTree {
+    let mut b = simvid_model::VideoBuilder::new(title);
+    b.set_level_names(["video", "shot"]);
+    b.child("s0");
+    let o = b.object(1, "person", None);
+    b.relationship("holds_gun", [o]);
+    b.up();
+    b.finish().unwrap()
+}
+
+/// Golden bytes of the on-disk format: a small store that has absorbed
+/// two batches (one tombstone, epoch 2). Any change to how a
+/// `VideoStore` is held in memory must leave this encoding untouched.
+#[test]
+fn mutated_store_json_bytes_are_pinned() {
+    let mut store = VideoStore::new();
+    let a = store.add(one_shot("a"));
+    store.add(one_shot("b"));
+    store
+        .apply(&[CorpusOp::Ingest(one_shot("c")), CorpusOp::Remove(a)])
+        .unwrap();
+    store
+        .apply(&[CorpusOp::Update(VideoId(1), one_shot("b2"))])
+        .unwrap();
+    let json = serde_json::to_string(&store).unwrap();
+    let golden = concat!(
+        r#"{"videos":[null,"#,
+        r#"{"title":"b2","nodes":["#,
+        r#"{"id":0,"parent":null,"children":[1],"level":0,"label":"b2","#,
+        r#""meta":{"objects":[],"relationships":[],"attrs":{}},"pos":0,"spans":[[0,1],[0,1]]},"#,
+        r#"{"id":1,"parent":0,"children":[],"level":1,"label":"s0","#,
+        r#""meta":{"objects":[{"id":1,"attrs":{}}],"relationships":[{"name":"holds_gun","args":[1]}],"attrs":{}},"#,
+        r#""pos":0,"spans":[[0,1]]}],"#,
+        r#""level_names":["video","shot"],"objects":{"1":{"class":"person","name":null}},"levels":[[0],[1]]},"#,
+        r#"{"title":"c","nodes":["#,
+        r#"{"id":0,"parent":null,"children":[1],"level":0,"label":"c","#,
+        r#""meta":{"objects":[],"relationships":[],"attrs":{}},"pos":0,"spans":[[0,1],[0,1]]},"#,
+        r#"{"id":1,"parent":0,"children":[],"level":1,"label":"s0","#,
+        r#""meta":{"objects":[{"id":1,"attrs":{}}],"relationships":[{"name":"holds_gun","args":[1]}],"attrs":{}},"#,
+        r#""pos":0,"spans":[[0,1]]}],"#,
+        r#""level_names":["video","shot"],"objects":{"1":{"class":"person","name":null}},"levels":[[0],[1]]}"#,
+        r#"],"epoch":2}"#,
+    );
+    assert_eq!(json, golden);
+    assert_eq!(serde_json::to_string(&round_trip(&store)).unwrap(), json);
+}
