@@ -34,6 +34,17 @@ impl Env {
         self
     }
 
+    /// Binds an object variable in place, allocating its key only the
+    /// first time the variable is bound.
+    pub fn set_obj(&mut self, var: &str, id: ObjectId) {
+        match self.objs.get_mut(var) {
+            Some(slot) => *slot = id,
+            None => {
+                self.objs.insert(var.to_owned(), id);
+            }
+        }
+    }
+
     /// Binds an attribute variable; builder style.
     #[must_use]
     pub fn with_attr(mut self, var: impl Into<String>, value: AttrValue) -> Self {
@@ -42,19 +53,41 @@ impl Env {
     }
 }
 
+/// Variable bindings an atom is evaluated under.
+///
+/// [`Env`] is the general, name-keyed evaluation ρ; callers on a hot path
+/// (the picture scorer binds variables by slot) implement this trait over
+/// their own layout and evaluate atoms without building an `Env`.
+pub trait Bindings {
+    /// The object bound to an object variable, if any.
+    fn obj(&self, var: &str) -> Option<ObjectId>;
+    /// The value bound to an attribute variable, if any.
+    fn attr(&self, var: &str) -> Option<&AttrValue>;
+}
+
+impl Bindings for Env {
+    fn obj(&self, var: &str) -> Option<ObjectId> {
+        self.objs.get(var).copied()
+    }
+
+    fn attr(&self, var: &str) -> Option<&AttrValue> {
+        self.attrs.get(var)
+    }
+}
+
 /// Evaluates a term to an attribute value, or `None` when undefined
 /// (unbound variable, absent attribute, or an object variable — objects are
 /// not attribute values).
 #[must_use]
-pub fn eval_expr(
+pub fn eval_expr<B: Bindings + ?Sized>(
     tree: &VideoTree,
     meta: &SegmentMeta,
     expr: &Expr,
-    env: &Env,
+    env: &B,
 ) -> Option<AttrValue> {
     match expr {
         Expr::Obj(_) => None,
-        Expr::Attr(AttrVar(name)) => env.attrs.get(name).cloned(),
+        Expr::Attr(AttrVar(name)) => env.attr(name).cloned(),
         Expr::Const(v) => Some(v.clone()),
         Expr::Fn(f) => eval_attr_fn(tree, meta, f, env),
     }
@@ -65,16 +98,16 @@ pub fn eval_expr(
 /// object registry; other object attributes read the per-segment appearance
 /// record; `of = None` reads a segment attribute.
 #[must_use]
-pub fn eval_attr_fn(
+pub fn eval_attr_fn<B: Bindings + ?Sized>(
     tree: &VideoTree,
     meta: &SegmentMeta,
     f: &AttrFn,
-    env: &Env,
+    env: &B,
 ) -> Option<AttrValue> {
     match &f.of {
         None => meta.segment_attr(&f.attr).cloned(),
         Some(ObjVar(var)) => {
-            let oid = *env.objs.get(var)?;
+            let oid = env.obj(var)?;
             match f.attr.as_str() {
                 "type" | "class" => tree
                     .object_info(oid)
@@ -89,9 +122,14 @@ pub fn eval_attr_fn(
     }
 }
 
-fn rel_arg_matches(tree: &VideoTree, bound: ObjectId, arg: &Expr, env: &Env) -> bool {
+fn rel_arg_matches<B: Bindings + ?Sized>(
+    tree: &VideoTree,
+    bound: ObjectId,
+    arg: &Expr,
+    env: &B,
+) -> bool {
     match arg {
-        Expr::Obj(ObjVar(v)) => env.objs.get(v) == Some(&bound),
+        Expr::Obj(ObjVar(v)) => env.obj(v) == Some(bound),
         Expr::Const(AttrValue::Str(s)) => tree
             .object_info(bound)
             .is_some_and(|i| i.class == *s || i.name.as_deref() == Some(s)),
@@ -101,13 +139,15 @@ fn rel_arg_matches(tree: &VideoTree, bound: ObjectId, arg: &Expr, env: &Env) -> 
 
 /// Evaluates an atomic predicate on one segment's meta-data.
 #[must_use]
-pub fn eval_atom(tree: &VideoTree, meta: &SegmentMeta, atom: &Atom, env: &Env) -> bool {
+pub fn eval_atom<B: Bindings + ?Sized>(
+    tree: &VideoTree,
+    meta: &SegmentMeta,
+    atom: &Atom,
+    env: &B,
+) -> bool {
     match atom {
         Atom::Bool(b) => *b,
-        Atom::Present(ObjVar(v)) => env
-            .objs
-            .get(v)
-            .is_some_and(|&oid| meta.contains_object(oid)),
+        Atom::Present(ObjVar(v)) => env.obj(v).is_some_and(|oid| meta.contains_object(oid)),
         Atom::Cmp { op, lhs, rhs } => {
             let (Some(l), Some(r)) = (
                 eval_expr(tree, meta, lhs, env),
@@ -125,7 +165,7 @@ pub fn eval_atom(tree: &VideoTree, meta: &SegmentMeta, atom: &Atom, env: &Env) -
             // Unary class-test fallback: person(x) holds when x's class is
             // "person" and x appears in the segment.
             if let [Expr::Obj(ObjVar(v))] = args.as_slice() {
-                if let Some(&oid) = env.objs.get(v) {
+                if let Some(oid) = env.obj(v) {
                     if meta.contains_object(oid)
                         && tree.object_info(oid).is_some_and(|i| i.class == *name)
                     {
@@ -198,9 +238,8 @@ impl<'a> ExactEvaluator<'a> {
             }
             Formula::Exists(ObjVar(v), g) => {
                 let saved = env.objs.get(v).copied();
-                let ids: Vec<ObjectId> = self.tree.object_ids().collect();
-                let result = ids.into_iter().any(|oid| {
-                    env.objs.insert(v.clone(), oid);
+                let result = self.tree.object_ids().any(|oid| {
+                    env.set_obj(v, oid);
                     self.satisfies_at(depth, range, pos, g, env)
                 });
                 match saved {

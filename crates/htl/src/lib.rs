@@ -80,7 +80,9 @@ pub use ast::{Atom, AttrFn, AttrVar, CmpOp, Expr, Formula, LevelSpec, ObjVar};
 pub use atoms::{atomic_units, is_pure, AtomicUnit};
 pub use classify::{classify, FormulaClass};
 pub use error::ParseError;
-pub use exact::{eval_atom, eval_expr, exact_retrieve, satisfies_video, Env, ExactEvaluator};
+pub use exact::{
+    eval_atom, eval_expr, exact_retrieve, satisfies_video, Bindings, Env, ExactEvaluator,
+};
 pub use intern::FormulaId;
 pub use normalize::{hoist_quantifiers, normalize_for_engine};
 pub use parser::parse;

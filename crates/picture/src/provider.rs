@@ -500,6 +500,34 @@ mod tests {
     }
 
     #[test]
+    fn bad_scoring_weights_are_permanent_errors() {
+        let tree = flight();
+        let unit = AtomicUnit {
+            formula: parse("exists z . present(z) and height(z) > 150").unwrap(),
+            free_objs: Vec::new(),
+            free_attrs: Vec::new(),
+        };
+        let ctx = SeqContext {
+            depth: 1,
+            lo: 0,
+            hi: 3,
+        };
+        for bad in [-1.0, f64::NAN] {
+            let config = ScoringConfig {
+                default_weight: bad,
+                ..ScoringConfig::default()
+            };
+            let sys = PictureSystem::new(&tree, config);
+            match sys.try_atomic_table(&unit, ctx) {
+                Err(ProviderError::Permanent(msg)) => {
+                    assert!(msg.contains("must be positive"), "got: {msg}");
+                }
+                other => panic!("expected Permanent weight error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn try_atomic_table_reports_compile_errors_as_permanent() {
         let tree = flight();
         let sys = PictureSystem::new(&tree, ScoringConfig::default());

@@ -14,6 +14,9 @@ pub enum QueryError {
     BadAttrPredicate(String),
     /// Too many variables to enumerate bindings for.
     TooManyVariables(usize),
+    /// The scoring weight for this key is not positive (zero, negative or
+    /// NaN); scoring needs every weight positive.
+    BadWeight(String),
 }
 
 impl fmt::Display for QueryError {
@@ -34,6 +37,9 @@ impl fmt::Display for QueryError {
                     f,
                     "atomic query binds {n} object variables; at most 5 are supported"
                 )
+            }
+            QueryError::BadWeight(key) => {
+                write!(f, "scoring weight for `{key}` must be positive")
             }
         }
     }
@@ -231,7 +237,11 @@ impl AtomicQuery {
         let mut conjuncts = Vec::with_capacity(parts.len());
         let mut max = 0.0;
         for part in parts {
-            let weight = config.weight(weight_key(&part));
+            let key = weight_key(&part);
+            let weight = config.weight(key);
+            if weight.is_nan() || weight <= 0.0 {
+                return Err(QueryError::BadWeight(key.to_owned()));
+            }
             let kind = Self::kind_of(&part)?;
             max += weight;
             conjuncts.push(Conjunct {
@@ -409,6 +419,28 @@ mod tests {
             AtomicQuery::compile(&f, &ScoringConfig::default()),
             Err(QueryError::TooManyVariables(6))
         ));
+    }
+
+    #[test]
+    fn non_positive_and_nan_weights_rejected() {
+        for bad in [-1.0, 0.0, f64::NAN] {
+            let cfg = ScoringConfig {
+                default_weight: bad,
+                ..ScoringConfig::default()
+            };
+            assert_eq!(
+                AtomicQuery::compile(&parse("person(x) and moving(x)").unwrap(), &cfg),
+                Err(QueryError::BadWeight("person".into()))
+            );
+        }
+        // Only the weights a query uses are checked.
+        let mut cfg = ScoringConfig::default();
+        cfg.weights.insert("near".into(), f64::NAN);
+        assert!(AtomicQuery::compile(&parse("person(x)").unwrap(), &cfg).is_ok());
+        assert_eq!(
+            AtomicQuery::compile(&parse("person(x) and near(x, y)").unwrap(), &cfg),
+            Err(QueryError::BadWeight("near".into()))
+        );
     }
 
     #[test]

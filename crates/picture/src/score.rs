@@ -3,8 +3,11 @@
 use crate::index::LevelIndex;
 use crate::query::{AtomicQuery, ConjunctKind};
 use simvid_core::{AttrRange, Row, SimilarityList, SimilarityTable};
-use simvid_htl::{eval_expr, Atom, Env, ExactEvaluator, Expr, Formula};
-use simvid_model::{AttrValue, ObjectId, VideoTree};
+use simvid_htl::{
+    eval_atom, eval_expr, free_obj_vars, Atom, Bindings, Env, ExactEvaluator, Expr, Formula,
+};
+use simvid_model::{AttrValue, ObjectId, SegmentMeta, VideoTree};
+use std::collections::HashMap;
 
 /// Accumulator rows while scoring: one per `(free binding, attribute
 /// ranges)` evaluation, collecting `(local position, actual similarity)`
@@ -98,6 +101,9 @@ fn candidates(ix: &LevelIndex, query: &AtomicQuery, lo: u32, hi: u32) -> Vec<u32
 /// Scores an atomic query over the window `[lo, hi)` of level `depth`,
 /// producing a similarity table with positions local to the window
 /// (1-based).
+///
+/// Each candidate segment runs a depth-first branch-and-bound search over
+/// the joint bindings of [`AtomicQuery::binding_vars`]; see [`Search`].
 #[must_use]
 pub fn score_window(
     tree: &VideoTree,
@@ -107,52 +113,68 @@ pub fn score_window(
     hi: u32,
     query: &AtomicQuery,
 ) -> SimilarityTable {
-    let evaluator = ExactEvaluator::new(tree);
-    let vars = query.binding_vars();
-    let n_free = query.free_objs.len();
-    let n_attrs = query.free_attrs.len();
-    // Accumulated rows: (free binding, ranges, per-position values).
-    let mut acc: BindingAcc = Vec::new();
-
+    let mut search = Search::new(tree, depth, query);
     for p in candidates(ix, query, lo, hi) {
-        let meta = tree.meta_at(depth, p).expect("candidate within level");
-        let objs: Vec<ObjectId> = meta.object_ids().collect();
-        if !vars.is_empty() && objs.is_empty() {
-            continue;
+        search.segment(p, p - lo + 1);
+    }
+    rows_into_table(search.acc.rows, query)
+}
+
+/// Object variables bound by slot: `objs[i]` binds `vars[i]`.
+struct Slots<'s> {
+    vars: &'s [&'s str],
+    objs: &'s [ObjectId],
+}
+
+impl Bindings for Slots<'_> {
+    fn obj(&self, var: &str) -> Option<ObjectId> {
+        self.vars
+            .iter()
+            .zip(self.objs)
+            .find(|(v, _)| **v == var)
+            .map(|(_, &oid)| oid)
+    }
+
+    fn attr(&self, _var: &str) -> Option<&AttrValue> {
+        None
+    }
+}
+
+/// Accumulator rows, found through a map keyed on the free binding.
+#[derive(Default)]
+struct Acc {
+    rows: BindingAcc,
+    /// Free binding → indices of its rows (one per attribute-range split).
+    by_binding: HashMap<Vec<ObjectId>, Vec<usize>>,
+}
+
+impl Acc {
+    /// Folds `act` into the `(free, ranges)` row at position `local`,
+    /// keeping the max.
+    fn record(&mut self, free: &[ObjectId], ranges: Vec<AttrRange>, local: u32, act: f64) {
+        if !self.by_binding.contains_key(free) {
+            self.by_binding.insert(free.to_vec(), Vec::new());
         }
-        let local = p - lo + 1;
-        // Odometer over object assignments to all binding variables.
-        let mut counters = vec![0usize; vars.len()];
-        loop {
-            let mut env = Env::new();
-            for (vi, var) in vars.iter().enumerate() {
-                env.objs.insert((*var).to_owned(), objs[counters[vi]]);
-            }
-            score_binding(
-                tree, &evaluator, depth, p, local, query, &env, n_free, n_attrs, &mut acc,
-            );
-            // Advance the odometer.
-            let mut vi = 0;
-            loop {
-                if vi == counters.len() {
-                    break;
-                }
-                counters[vi] += 1;
-                if counters[vi] < objs.len() {
-                    break;
-                }
-                counters[vi] = 0;
-                vi += 1;
-            }
-            if vi == counters.len() {
-                break;
+        let ids = self.by_binding.get_mut(free).expect("inserted above");
+        let rows = &mut self.rows;
+        match ids.iter().find(|&&i| rows[i].1 == ranges) {
+            Some(&i) => match rows[i].2.last_mut() {
+                Some((p, v)) if *p == local => *v = v.max(act),
+                _ => rows[i].2.push((local, act)),
+            },
+            None => {
+                ids.push(rows.len());
+                rows.push((free.to_vec(), ranges, vec![(local, act)]));
             }
         }
     }
+}
 
+/// Builds the similarity table of accumulated rows.
+fn rows_into_table(rows: BindingAcc, query: &AtomicQuery) -> SimilarityTable {
     let mut out =
         SimilarityTable::new(query.free_objs.clone(), query.free_attrs.clone(), query.max);
-    for (objs, ranges, entries) in acc {
+    for (objs, ranges, entries) in rows {
         let list = SimilarityList::from_tuples(
             entries.into_iter().map(|(p, v)| (p, p, v)).collect(),
             query.max,
@@ -168,58 +190,241 @@ pub fn score_window(
     out
 }
 
-/// Scores one joint binding at one segment and folds the result into `acc`,
-/// keeping the max over existential assignments.
-#[allow(clippy::too_many_arguments)]
-fn score_binding(
-    tree: &VideoTree,
-    evaluator: &ExactEvaluator<'_>,
+/// Depth-first branch-and-bound over the joint bindings of one segment.
+///
+/// Slots are bound one at a time in [`AtomicQuery::binding_vars`] order
+/// (free variables first). Each plain conjunct is decided at the first
+/// depth where all of its variables are bound, so a unary conjunct is read
+/// once per object, not once per joint binding. When the query has no
+/// `Range` conjunct, a subtree whose free binding is fixed is cut as soon
+/// as the best value already found for that binding at this segment
+/// reaches the subtree's upper bound: the conjunct-order sum of the weights
+/// of conjuncts satisfied or still undecided. Weights are positive and
+/// floating-point rounding is monotone, so that sum bounds every leaf's
+/// conjunct-order sum of satisfied weights exactly, and a full match ends
+/// the search.
+struct Search<'a> {
+    tree: &'a VideoTree,
+    evaluator: ExactEvaluator<'a>,
     depth: u8,
+    query: &'a AtomicQuery,
+    vars: Vec<&'a str>,
+    n_free: usize,
+    /// `decide_at[d]`: the plain conjuncts whose variables lie in the
+    /// first `d` slots and not in the first `d - 1`.
+    decide_at: Vec<Vec<usize>>,
+    /// Whether bounds may cut subtrees (no `Range` conjunct).
+    prune: bool,
+    /// The segment being searched: level position and window-local one.
     pos: u32,
     local: u32,
-    query: &AtomicQuery,
-    env: &Env,
-    n_free: usize,
-    n_attrs: usize,
-    acc: &mut BindingAcc,
-) {
-    let meta = tree.meta_at(depth, pos).expect("valid position");
-    let mut base = 0.0f64;
-    // Outcomes per range conjunct: (attr column, range, weight-if-satisfied).
-    let mut range_outcomes: Vec<Vec<(usize, AttrRange, f64)>> = Vec::new();
-    for c in &query.conjuncts {
-        match &c.kind {
-            ConjunctKind::Plain => {
-                let mut scratch = env.clone();
-                if evaluator.satisfies_at(depth, (pos, pos + 1), pos, &c.formula, &mut scratch) {
-                    base += c.weight;
+    /// The segment's objects, candidates for every slot.
+    objs: Vec<ObjectId>,
+    slots: Vec<ObjectId>,
+    /// Per conjunct: `None` while undecided, else whether it holds.
+    sat: Vec<Option<bool>>,
+    /// Best value of the current free binding at this segment.
+    best: f64,
+    /// Bindings for conjuncts that are neither atoms nor negated atoms,
+    /// which go through the exact evaluator.
+    env: Env,
+    acc: Acc,
+}
+
+impl<'a> Search<'a> {
+    fn new(tree: &'a VideoTree, depth: u8, query: &'a AtomicQuery) -> Self {
+        let vars = query.binding_vars();
+        let mut decide_at = vec![Vec::new(); vars.len() + 1];
+        let mut prune = true;
+        for (c, conj) in query.conjuncts.iter().enumerate() {
+            if !matches!(conj.kind, ConjunctKind::Plain) {
+                prune = false;
+                continue;
+            }
+            let d = free_obj_vars(&conj.formula)
+                .iter()
+                .filter_map(|v| vars.iter().position(|b| *b == v.0))
+                .map(|i| i + 1)
+                .max()
+                .unwrap_or(0);
+            decide_at[d].push(c);
+        }
+        Search {
+            tree,
+            evaluator: ExactEvaluator::new(tree),
+            depth,
+            query,
+            n_free: query.free_objs.len(),
+            slots: vec![ObjectId(0); vars.len()],
+            vars,
+            decide_at,
+            prune,
+            pos: 0,
+            local: 0,
+            objs: Vec::new(),
+            sat: vec![None; query.conjuncts.len()],
+            best: 0.0,
+            env: Env::new(),
+            acc: Acc::default(),
+        }
+    }
+
+    /// Scores every binding at level position `pos` (window-local `local`).
+    fn segment(&mut self, pos: u32, local: u32) {
+        let meta = self
+            .tree
+            .meta_at(self.depth, pos)
+            .expect("candidate within level");
+        self.objs.clear();
+        self.objs.extend(meta.object_ids());
+        if !self.vars.is_empty() && self.objs.is_empty() {
+            return;
+        }
+        self.pos = pos;
+        self.local = local;
+        for k in 0..self.decide_at[0].len() {
+            let c = self.decide_at[0][k];
+            self.sat[c] = Some(self.decide(meta, c, 0));
+        }
+        self.descend(meta, 0);
+    }
+
+    /// Explores every binding that extends the first `d` slots.
+    fn descend(&mut self, meta: &SegmentMeta, d: usize) {
+        if d == self.n_free {
+            self.best = 0.0;
+        }
+        let bounded = self.prune && d >= self.n_free;
+        let bound = if bounded { self.bound() } else { f64::INFINITY };
+        if bounded && self.best >= bound {
+            return;
+        }
+        if d == self.vars.len() {
+            self.leaf(meta, bound);
+        } else {
+            for i in 0..self.objs.len() {
+                if bounded && self.best >= bound {
+                    break;
+                }
+                self.slots[d] = self.objs[i];
+                for k in 0..self.decide_at[d + 1].len() {
+                    let c = self.decide_at[d + 1][k];
+                    self.sat[c] = Some(self.decide(meta, c, d + 1));
+                }
+                self.descend(meta, d + 1);
+                for k in 0..self.decide_at[d + 1].len() {
+                    self.sat[self.decide_at[d + 1][k]] = None;
                 }
             }
-            ConjunctKind::Range { var, op, value } => {
-                let col = query
-                    .free_attrs
-                    .iter()
-                    .position(|a| a == var)
-                    .expect("range var is a free attr");
-                let mut outcomes = Vec::with_capacity(2);
-                if let Some(v) = eval_expr(tree, meta, value, env) {
-                    if let Some(r) = AttrRange::from_cmp(*op, &v) {
-                        outcomes.push((col, r, c.weight));
-                    }
-                    if let Some(r) = AttrRange::from_cmp_negated(*op, &v) {
-                        outcomes.push((col, r, 0.0));
-                    }
-                }
-                if outcomes.is_empty() {
-                    // Value undefined: the predicate fails for every y.
-                    outcomes.push((col, AttrRange::any(), 0.0));
-                }
-                range_outcomes.push(outcomes);
+        }
+        if self.prune && d == self.n_free && self.best > 0.0 {
+            self.acc
+                .record(&self.slots[..d], Vec::new(), self.local, self.best);
+        }
+    }
+
+    /// Conjunct-order sum of the weights of conjuncts not yet refuted.
+    fn bound(&self) -> f64 {
+        let mut bound = 0.0;
+        for (c, sat) in self.query.conjuncts.iter().zip(&self.sat) {
+            if *sat != Some(false) {
+                bound += c.weight;
+            }
+        }
+        bound
+    }
+
+    /// Whether plain conjunct `c` holds with the first `bound` slots bound.
+    fn decide(&mut self, meta: &SegmentMeta, c: usize, bound: usize) -> bool {
+        let query = self.query;
+        let formula = &query.conjuncts[c].formula;
+        let atom = match formula {
+            Formula::Atom(a) => Some((a, false)),
+            Formula::Not(g) => match &**g {
+                Formula::Atom(a) => Some((a, true)),
+                _ => None,
+            },
+            _ => None,
+        };
+        if let Some((a, negated)) = atom {
+            let slots = Slots {
+                vars: &self.vars,
+                objs: &self.slots[..bound],
+            };
+            return eval_atom(self.tree, meta, a, &slots) != negated;
+        }
+        for (var, &oid) in self.vars.iter().zip(&self.slots[..bound]) {
+            self.env.set_obj(var, oid);
+        }
+        let span = (self.pos, self.pos + 1);
+        self.evaluator
+            .satisfies_at(self.depth, span, self.pos, formula, &mut self.env)
+    }
+
+    /// Records a full binding. `bound` is its exact value when pruning.
+    fn leaf(&mut self, meta: &SegmentMeta, bound: f64) {
+        if self.prune {
+            self.best = self.best.max(bound);
+            return;
+        }
+        let mut base = 0.0f64;
+        for (c, sat) in self.query.conjuncts.iter().zip(&self.sat) {
+            if *sat == Some(true) {
+                base += c.weight;
+            }
+        }
+        let slots = Slots {
+            vars: &self.vars,
+            objs: &self.slots,
+        };
+        for (ranges, extra) in range_combos(self.tree, meta, self.query, &slots) {
+            let act = base + extra;
+            if act > 0.0 {
+                self.acc
+                    .record(&self.slots[..self.n_free], ranges, self.local, act);
             }
         }
     }
+}
+
+/// The attribute-range splits of one full binding: every consistent
+/// combination of the `Range` conjuncts' outcomes, with the weight sum of
+/// those it satisfies.
+fn range_combos<B: Bindings + ?Sized>(
+    tree: &VideoTree,
+    meta: &SegmentMeta,
+    query: &AtomicQuery,
+    bindings: &B,
+) -> Vec<(Vec<AttrRange>, f64)> {
+    // Outcomes per range conjunct: (attr column, range, weight-if-satisfied).
+    let mut range_outcomes: Vec<Vec<(usize, AttrRange, f64)>> = Vec::new();
+    for c in &query.conjuncts {
+        let ConjunctKind::Range { var, op, value } = &c.kind else {
+            continue;
+        };
+        let col = query
+            .free_attrs
+            .iter()
+            .position(|a| a == var)
+            .expect("range var is a free attr");
+        let mut outcomes = Vec::with_capacity(2);
+        if let Some(v) = eval_expr(tree, meta, value, bindings) {
+            if let Some(r) = AttrRange::from_cmp(*op, &v) {
+                outcomes.push((col, r, c.weight));
+            }
+            if let Some(r) = AttrRange::from_cmp_negated(*op, &v) {
+                outcomes.push((col, r, 0.0));
+            }
+        }
+        if outcomes.is_empty() {
+            // Value undefined: the predicate fails for every y.
+            outcomes.push((col, AttrRange::any(), 0.0));
+        }
+        range_outcomes.push(outcomes);
+    }
     // Product of outcomes across range conjuncts.
-    let mut combos: Vec<(Vec<AttrRange>, f64)> = vec![(vec![AttrRange::any(); n_attrs], 0.0)];
+    let mut combos: Vec<(Vec<AttrRange>, f64)> =
+        vec![(vec![AttrRange::any(); query.free_attrs.len()], 0.0)];
     for outcomes in &range_outcomes {
         let mut next = Vec::with_capacity(combos.len() * outcomes.len());
         for (ranges, w) in &combos {
@@ -233,26 +438,114 @@ fn score_binding(
         }
         combos = next;
     }
-    let free_binding: Vec<ObjectId> = query
-        .free_objs
-        .iter()
-        .map(|v| env.objs[v])
-        .take(n_free)
-        .collect();
-    for (ranges, extra) in combos {
-        let act = base + extra;
-        if act <= 0.0 {
-            continue;
+    combos
+}
+
+/// The odometer scorer the search replaced: every joint binding of every
+/// candidate segment, scored in full. Kept as the search's test oracle.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Scores an atomic query over `[lo, hi)` by enumerating all joint
+    /// bindings; rows come out in first-seen order of the odometer.
+    pub(super) fn score_window_reference(
+        tree: &VideoTree,
+        ix: &LevelIndex,
+        depth: u8,
+        lo: u32,
+        hi: u32,
+        query: &AtomicQuery,
+    ) -> SimilarityTable {
+        let evaluator = ExactEvaluator::new(tree);
+        let vars = query.binding_vars();
+        let n_free = query.free_objs.len();
+        // Accumulated rows: (free binding, ranges, per-position values).
+        let mut acc: BindingAcc = Vec::new();
+
+        for p in candidates(ix, query, lo, hi) {
+            let meta = tree.meta_at(depth, p).expect("candidate within level");
+            let objs: Vec<ObjectId> = meta.object_ids().collect();
+            if !vars.is_empty() && objs.is_empty() {
+                continue;
+            }
+            let local = p - lo + 1;
+            // Odometer over object assignments to all binding variables.
+            let mut counters = vec![0usize; vars.len()];
+            loop {
+                let mut env = Env::new();
+                for (vi, var) in vars.iter().enumerate() {
+                    env.objs.insert((*var).to_owned(), objs[counters[vi]]);
+                }
+                score_binding(
+                    tree, &evaluator, depth, p, local, query, &env, n_free, &mut acc,
+                );
+                // Advance the odometer.
+                let mut vi = 0;
+                loop {
+                    if vi == counters.len() {
+                        break;
+                    }
+                    counters[vi] += 1;
+                    if counters[vi] < objs.len() {
+                        break;
+                    }
+                    counters[vi] = 0;
+                    vi += 1;
+                }
+                if vi == counters.len() {
+                    break;
+                }
+            }
         }
-        match acc
-            .iter_mut()
-            .find(|(o, r, _)| *o == free_binding && *r == ranges)
-        {
-            Some((_, _, entries)) => match entries.last_mut() {
-                Some((p, v)) if *p == local => *v = v.max(act),
-                _ => entries.push((local, act)),
-            },
-            None => acc.push((free_binding.clone(), ranges, vec![(local, act)])),
+        rows_into_table(acc, query)
+    }
+
+    /// Scores one joint binding at one segment and folds the result into
+    /// `acc`, keeping the max over existential assignments.
+    #[allow(clippy::too_many_arguments)]
+    fn score_binding(
+        tree: &VideoTree,
+        evaluator: &ExactEvaluator<'_>,
+        depth: u8,
+        pos: u32,
+        local: u32,
+        query: &AtomicQuery,
+        env: &Env,
+        n_free: usize,
+        acc: &mut BindingAcc,
+    ) {
+        let meta = tree.meta_at(depth, pos).expect("valid position");
+        let mut base = 0.0f64;
+        for c in &query.conjuncts {
+            if matches!(c.kind, ConjunctKind::Plain) {
+                let mut scratch = env.clone();
+                if evaluator.satisfies_at(depth, (pos, pos + 1), pos, &c.formula, &mut scratch) {
+                    base += c.weight;
+                }
+            }
+        }
+        let free_binding: Vec<ObjectId> = query
+            .free_objs
+            .iter()
+            .map(|v| env.objs[v])
+            .take(n_free)
+            .collect();
+        for (ranges, extra) in range_combos(tree, meta, query, env) {
+            let act = base + extra;
+            if act <= 0.0 {
+                continue;
+            }
+            match acc
+                .iter_mut()
+                .find(|(o, r, _)| *o == free_binding && *r == ranges)
+            {
+                Some((_, _, entries)) => match entries.last_mut() {
+                    Some((p, v)) if *p == local => *v = v.max(act),
+                    _ => entries.push((local, act)),
+                },
+                None => acc.push((free_binding.clone(), ranges, vec![(local, act)])),
+            }
         }
     }
 }
@@ -488,5 +781,179 @@ mod witness_tests {
             2.0,
             "independent witnesses allowed"
         );
+    }
+}
+
+#[cfg(test)]
+mod search_vs_reference {
+    use super::reference::score_window_reference;
+    use super::*;
+    use crate::ScoringConfig;
+    use proptest::prelude::*;
+    use simvid_htl::parse;
+    use simvid_model::VideoBuilder;
+
+    const CLASSES: [&str; 5] = ["person", "person", "horse", "car", "person"];
+    const HEIGHTS: [Option<i64>; 4] = [None, Some(50), Some(100), Some(150)];
+    const WEIGHTS: [f64; 4] = [0.1, 0.7, 1.0, 3.665];
+    const KEYS: [&str; 8] = [
+        "person", "moving", "near", "height", "present", "type", "name", "complex",
+    ];
+
+    /// One object appearance: (id index, height index, flags); flag bit 0
+    /// makes it `moving`, bit 1 puts it `near` the next object in the shot.
+    type Shot = Vec<(usize, usize, u8)>;
+
+    fn build(shots: &[Shot]) -> VideoTree {
+        let mut b = VideoBuilder::new("random");
+        b.set_level_names(["video", "shot"]);
+        for (s, shot) in shots.iter().enumerate() {
+            b.child(format!("s{s}"));
+            if s % 2 == 0 {
+                b.segment_attr("genre", AttrValue::from("western"));
+            }
+            let mut placed: Vec<(ObjectId, u8)> = Vec::new();
+            for &(id, h, flags) in shot {
+                if placed.iter().any(|(o, _)| o.0 == id as u64 + 1) {
+                    continue;
+                }
+                let name = (id == 0).then_some("Rick");
+                let o = b.object(id as u64 + 1, CLASSES[id], name);
+                if let Some(h) = HEIGHTS[h] {
+                    b.object_attr(o, "height", AttrValue::Int(h));
+                }
+                placed.push((o, flags));
+            }
+            for (i, &(o, flags)) in placed.iter().enumerate() {
+                if flags & 1 == 1 {
+                    b.relationship("moving", [o]);
+                }
+                if let (true, Some(&(next, _))) = (flags & 2 == 2, placed.get(i + 1)) {
+                    b.relationship("near", [o, next]);
+                }
+            }
+            b.up();
+        }
+        b.finish().unwrap()
+    }
+
+    /// A conjunct over variables `a` and `b` (or, with no variables, over
+    /// the segment alone).
+    fn conjunct(template: usize, a: Option<&str>, b: Option<&str>) -> String {
+        let (Some(a), Some(b)) = (a, b) else {
+            return match template % 3 {
+                0 => "genre = \"western\"".into(),
+                1 => "not genre = \"news\"".into(),
+                _ => "not exists w . moving(w)".into(),
+            };
+        };
+        match template {
+            0 => format!("person({a})"),
+            1 => format!("moving({a})"),
+            2 => format!("near({a}, {b})"),
+            3 => format!("height({a}) > 100"),
+            4 => format!("not moving({a})"),
+            5 => format!("present({a})"),
+            6 => format!("not exists w . near({a}, w)"),
+            7 => format!("type({a}) = \"horse\""),
+            8 => format!("not near({a}, {b})"),
+            _ => format!("name({a}) = \"Rick\""),
+        }
+    }
+
+    /// Query text: `vars` variables (bit `i` of `free` keeps `x{i}` free),
+    /// the given conjuncts, and, when `freeze >= 12`, a freeze whose body
+    /// compares a height against the frozen `h` (a `Range` conjunct once
+    /// extracted).
+    fn query_text(
+        vars: usize,
+        free: u8,
+        conjuncts: &[(usize, usize, usize)],
+        freeze: usize,
+    ) -> String {
+        let var = |i: usize| (vars > 0).then(|| format!("x{}", i % vars));
+        let mut parts: Vec<String> = conjuncts
+            .iter()
+            .map(|&(t, a, b)| format!("({})", conjunct(t, var(a).as_deref(), var(b).as_deref())))
+            .collect();
+        let frozen = freeze >= 12 && vars > 0;
+        if frozen {
+            let op = [">", ">=", "<", "="][freeze % 4];
+            parts.push(format!("height(x{}) {op} h", vars - 1));
+        }
+        let mut body = parts.join(" and ");
+        for i in (0..vars).rev() {
+            if free & (1 << i) == 0 {
+                body = format!("exists x{i} . ({body})");
+            }
+        }
+        if frozen {
+            format!("[h := height(x0)] ({body})")
+        } else {
+            body
+        }
+    }
+
+    fn config(weights: &[usize]) -> ScoringConfig {
+        let mut cfg = ScoringConfig {
+            default_weight: WEIGHTS[weights[0]],
+            ..ScoringConfig::default()
+        };
+        for (key, &w) in KEYS.iter().zip(&weights[1..]) {
+            cfg = cfg.with_weight(*key, WEIGHTS[w]);
+        }
+        cfg
+    }
+
+    fn bits(t: &[(u32, u32, f64)]) -> Vec<(u32, u32, u64)> {
+        t.iter().map(|&(a, b, v)| (a, b, v.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The branch-and-bound search produces the odometer's rows, each
+        /// with a bit-identical list.
+        #[test]
+        fn search_matches_the_odometer(
+            shots in prop::collection::vec(
+                prop::collection::vec((0usize..5, 0usize..4, 0u8..4), 0..=4),
+                1..=6,
+            ),
+            shape in (0usize..=3, 0u8..8, 0usize..16),
+            conjuncts in prop::collection::vec((0usize..10, 0usize..3, 0usize..3), 1..=4),
+            weights in prop::collection::vec(0usize..4, 9),
+            window in (0usize..6, 0usize..6),
+        ) {
+            let (vars, free, freeze) = shape;
+            let tree = build(&shots);
+            let text = query_text(vars, free, &conjuncts, freeze);
+            let f = parse(&text).unwrap();
+            let unit = simvid_htl::atomic_units(&f).remove(0).formula;
+            let q = AtomicQuery::compile(&unit, &config(&weights)).unwrap();
+            let ix = LevelIndex::build(&tree, 1);
+            let n = shots.len();
+            let (lo, hi) = (window.0 % n, n - window.1 % (n - window.0 % n));
+            let (lo, hi) = (lo as u32, hi as u32);
+            let got = score_window(&tree, &ix, 1, lo, hi, &q);
+            let want = score_window_reference(&tree, &ix, 1, lo, hi, &q);
+            prop_assert_eq!(&got.obj_cols, &want.obj_cols, "{}", text);
+            prop_assert_eq!(&got.attr_cols, &want.attr_cols, "{}", text);
+            prop_assert_eq!(got.max.to_bits(), want.max.to_bits(), "{}", text);
+            prop_assert_eq!(got.rows.len(), want.rows.len(), "{}", text);
+            for row in &got.rows {
+                let same: Vec<_> = want
+                    .rows
+                    .iter()
+                    .filter(|r| r.objs == row.objs && r.ranges == row.ranges)
+                    .collect();
+                prop_assert_eq!(same.len(), 1, "{}: row {:?}", text, row.objs);
+                prop_assert_eq!(
+                    bits(&row.list.to_tuples()),
+                    bits(&same[0].list.to_tuples()),
+                    "{}: row {:?} {:?}", text, row.objs, row.ranges
+                );
+            }
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Allocation-regression guard over the serving hot path.
+//! Allocation-regression guards over the serving hot path and cold picture
+//! scoring.
 //!
 //! The zero-copy work (interned formula keys, `Arc`-shared tables and
 //! lists, galloping kernels with exact reservations) only stays won if a
@@ -14,11 +15,13 @@
 //! shape; `docs/performance.md` describes how.
 
 use simvid_core::Engine;
+use simvid_htl::parse;
 use simvid_picture::{CacheConfig, PictureSystem, ScoringConfig};
 use simvid_workload::randomvideo::{generate as generate_video, VideoGenConfig};
 use simvid_workload::serve;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Counts allocations (and reallocations) while armed; delegates all real
 /// work to the system allocator.
@@ -57,6 +60,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Held by each test for its whole body: the counter is process-wide, so
+/// a concurrently running test would otherwise add its allocations.
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
 /// Runs `work` with the counter armed and returns the allocations it made.
 fn count_allocations(work: impl FnOnce()) -> u64 {
     ALLOCATIONS.store(0, Ordering::Relaxed);
@@ -74,6 +81,7 @@ const MAX_ALLOCATIONS_PER_QUERY: u64 = 128;
 
 #[test]
 fn warm_serve_queries_stay_under_allocation_budget() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
     // The serve-smoke shape: a flat 40-shot video and the serving layer's
     // standard query pool, with the cross-query cache enabled and primed.
     let tree = generate_video(
@@ -118,6 +126,49 @@ fn warm_serve_queries_stay_under_allocation_budget() {
     );
     // Guard the guard: a broken counter that never counts would pass any
     // budget trivially.
+    assert!(
+        allocations > 0,
+        "the counting allocator must observe the workload"
+    );
+}
+
+/// Upper bound on heap allocations for one cold `PictureSystem::query` of
+/// the two-variable conjunction below over a 64-shot video, counting the
+/// compile and the level index build. The branch-and-bound scorer measured
+/// 620 when introduced; the odometer it replaced made 10 506 (a
+/// `String`-keyed `Env` per joint binding and a clone of it per conjunct).
+/// The bound leaves ~2× headroom.
+const MAX_COLD_SCORE_ALLOCATIONS: u64 = 1_250;
+
+#[test]
+fn cold_two_variable_scoring_stays_under_allocation_budget() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
+    // The benchmark's video shape: 64 shots, 10 objects, ~3 per shot.
+    let tree = generate_video(
+        &VideoGenConfig {
+            branching: vec![64],
+            object_count: 10,
+            objects_per_leaf: 3.0,
+            ..VideoGenConfig::default()
+        },
+        7,
+    );
+    let f =
+        parse("exists x . exists y . person(y) and near(x, y) and moving(x) and height(x) > 100")
+            .unwrap();
+    let depth = tree.leaf_level();
+    let sys = PictureSystem::new(&tree, ScoringConfig::default());
+    let mut rows = 0;
+    let allocations = count_allocations(|| {
+        rows = sys.query(&f, depth).unwrap().rows.len();
+    });
+    assert_eq!(rows, 1, "a closed query scores one row");
+    assert!(
+        allocations <= MAX_COLD_SCORE_ALLOCATIONS,
+        "cold scoring allocates too much: {allocations} allocations \
+         (budget {MAX_COLD_SCORE_ALLOCATIONS}). A jump here usually means \
+         per-binding environments or clones crept back into the scorer."
+    );
     assert!(
         allocations > 0,
         "the counting allocator must observe the workload"
