@@ -51,6 +51,7 @@ mod error;
 mod interval;
 pub mod list;
 pub mod memo;
+mod plan;
 pub mod prune;
 mod range;
 mod sim;
@@ -59,11 +60,14 @@ pub mod topk;
 pub mod valuetable;
 
 pub use budget::Budget;
-pub use engine::{AtomicProvider, CacheStats, Engine, EngineConfig, EvalStats, SeqContext};
+pub use engine::{
+    AtomicProvider, CacheStats, Engine, EngineConfig, EngineHandles, EvalStats, SeqContext,
+};
 pub use error::{EngineError, ProviderError};
 pub use interval::{Interval, SegPos};
 pub use list::{ConjunctionSemantics, SimilarityList};
 pub use memo::{MemoCache, MemoKey};
+pub use plan::Plan;
 pub use range::AttrRange;
 pub use sim::Sim;
 pub use table::{Row, SimilarityTable};

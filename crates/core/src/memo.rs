@@ -15,7 +15,7 @@
 //! engine shareable by reference across threads.
 
 use crate::{SeqContext, SimilarityTable};
-use simvid_htl::{Formula, FormulaId};
+use simvid_htl::FormulaId;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -63,12 +63,12 @@ impl MemoCache {
         MemoCache::default()
     }
 
-    /// The key of a subformula evaluation. Interns the formula; callers on
-    /// the memoizing path pay this once per (subformula, window) visit and
-    /// the intern table makes repeat visits a hash-probe.
+    /// The key of an evaluation of the subformula interned as `id` on
+    /// `ctx`. The engine's plan interns every node once per request, so
+    /// building a key is four copies.
     #[must_use]
-    pub fn key(f: &Formula, ctx: SeqContext) -> MemoKey {
-        (FormulaId::of(f), ctx.depth, ctx.lo, ctx.hi)
+    pub fn key(id: FormulaId, ctx: SeqContext) -> MemoKey {
+        (id, ctx.depth, ctx.lo, ctx.hi)
     }
 
     fn memo(&self) -> MutexGuard<'_, Memo> {
@@ -145,7 +145,7 @@ mod tests {
         let cache = MemoCache::new();
         let f = simvid_htl::parse("p()").expect("parse");
         let key = MemoCache::key(
-            &f,
+            FormulaId::of(&f),
             SeqContext {
                 depth: 1,
                 lo: 0,
@@ -162,7 +162,7 @@ mod tests {
         // A different window is a different key.
         assert!(cache
             .lookup(&MemoCache::key(
-                &f,
+                FormulaId::of(&f),
                 SeqContext {
                     depth: 1,
                     lo: 0,
@@ -179,7 +179,7 @@ mod tests {
         let cache = MemoCache::new();
         let f = simvid_htl::parse("q()").expect("parse");
         let key = MemoCache::key(
-            &f,
+            FormulaId::of(&f),
             SeqContext {
                 depth: 1,
                 lo: 0,
@@ -199,7 +199,7 @@ mod tests {
         let cache = MemoCache::new();
         let f = simvid_htl::parse("r()").expect("parse");
         let key = MemoCache::key(
-            &f,
+            FormulaId::of(&f),
             SeqContext {
                 depth: 2,
                 lo: 5,
@@ -223,7 +223,7 @@ mod tests {
         let cache = MemoCache::new();
         let f = simvid_htl::parse("s()").expect("parse");
         let key = MemoCache::key(
-            &f,
+            FormulaId::of(&f),
             SeqContext {
                 depth: 1,
                 lo: 0,

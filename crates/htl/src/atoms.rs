@@ -11,13 +11,17 @@
 //! units: the former change the evaluation level and the latter are handled
 //! via value tables by the engine.
 
-use crate::{free_attr_vars, free_obj_vars, AttrVar, Formula, ObjVar};
+use crate::{free_attr_vars, free_obj_vars, AttrVar, Formula, FormulaId, ObjVar};
 
 /// A maximal non-temporal subformula together with its free variables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AtomicUnit {
     /// The subformula (cloned out of the query).
     pub formula: Formula,
+    /// The interned identity of `formula`, computed once when the unit is
+    /// built so providers can key caches on it without re-interning.
+    /// Must equal `FormulaId::of(&formula)`.
+    pub id: FormulaId,
     /// Free object variables, sorted.
     pub free_objs: Vec<ObjVar>,
     /// Free attribute variables, sorted.
@@ -41,13 +45,24 @@ pub fn is_pure(f: &Formula) -> bool {
     }
 }
 
-fn collect(f: &Formula, out: &mut Vec<AtomicUnit>) {
-    if is_pure(f) {
-        out.push(AtomicUnit {
+impl AtomicUnit {
+    /// Wraps a pure formula as a unit: clones it, interns it and collects
+    /// its free variables.
+    #[must_use]
+    pub fn of(f: &Formula) -> AtomicUnit {
+        debug_assert!(is_pure(f), "atomic units are pure");
+        AtomicUnit {
             formula: f.clone(),
+            id: FormulaId::of(f),
             free_objs: free_obj_vars(f).into_iter().collect(),
             free_attrs: free_attr_vars(f).into_iter().collect(),
-        });
+        }
+    }
+}
+
+fn collect(f: &Formula, out: &mut Vec<AtomicUnit>) {
+    if is_pure(f) {
+        out.push(AtomicUnit::of(f));
         return;
     }
     match f {
@@ -124,6 +139,14 @@ mod tests {
         assert_eq!(units[0].formula.to_string(), "present(z) and height(z) > h");
         assert_eq!(units[0].free_attrs.len(), 1);
         assert_eq!(units[0].free_objs.len(), 1);
+    }
+
+    #[test]
+    fn units_carry_their_interned_id() {
+        let f = parse("p() until (q(x) and r(x))").unwrap();
+        for unit in atomic_units(&f) {
+            assert_eq!(unit.id, FormulaId::of(&unit.formula));
+        }
     }
 
     #[test]

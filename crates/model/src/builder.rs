@@ -1,5 +1,6 @@
 //! Stack-based builder for [`VideoTree`]s.
 
+use crate::tree::TreeData;
 use crate::{
     AttrValue, Level, ModelError, ObjectId, ObjectInfo, ObjectInstance, Relationship, SegmentId,
     SegmentMeta, SegmentNode, VideoTree,
@@ -163,7 +164,7 @@ impl VideoBuilder {
                 }
             }
         }
-        let tree = VideoTree {
+        let tree = TreeData {
             title: self.title,
             nodes: self.nodes,
             level_names: self.level_names,

@@ -20,7 +20,6 @@
 
 use crate::{SegmentId, VideoId, VideoTree};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::sync::Arc;
 
 /// Reference to one segment of one video in a store.
 ///
@@ -131,12 +130,12 @@ impl AppliedBatch {
 /// later videos down: ids handed out by [`add`](VideoStore::add) stay
 /// stable for the life of the store (and across JSON round-trips).
 ///
-/// Each tree sits behind an `Arc`, so `clone()` copies one pointer per
-/// slot and every clone — a staged batch, a [`CorpusLog`] base, a
-/// serving snapshot — shares the trees rather than copying them.
+/// A [`VideoTree`] clone copies one pointer, so `clone()` copies one
+/// pointer per slot and every clone — a staged batch, a [`CorpusLog`]
+/// base, a serving snapshot — shares the trees rather than copying them.
 #[derive(Debug, Clone, Default)]
 pub struct VideoStore {
-    slots: Vec<Option<Arc<VideoTree>>>,
+    slots: Vec<Option<VideoTree>>,
     epoch: u64,
 }
 
@@ -153,7 +152,7 @@ impl VideoStore {
     /// store is live).
     pub fn add(&mut self, video: VideoTree) -> VideoId {
         let id = VideoId(self.slots.len() as u32);
-        self.slots.push(Some(Arc::new(video)));
+        self.slots.push(Some(video));
         id
     }
 
@@ -161,14 +160,14 @@ impl VideoStore {
     #[must_use]
     pub fn video(&self, id: VideoId) -> &VideoTree {
         self.slots[id.0 as usize]
-            .as_deref()
+            .as_ref()
             .unwrap_or_else(|| panic!("video id {} is removed", id.0))
     }
 
     /// Looks up a video if the id is in range and not removed.
     #[must_use]
     pub fn get(&self, id: VideoId) -> Option<&VideoTree> {
-        self.slots.get(id.0 as usize).and_then(Option::as_deref)
+        self.slots.get(id.0 as usize).and_then(Option::as_ref)
     }
 
     /// Whether `id` names a live (allocated, not removed) video.
@@ -202,14 +201,9 @@ impl VideoStore {
         CorpusEpoch(self.epoch)
     }
 
-    /// Iterates over all live videos with their ids.
+    /// Iterates over all live videos with their ids. Cloning a yielded
+    /// tree shares it rather than copying it.
     pub fn iter(&self) -> impl Iterator<Item = (VideoId, &VideoTree)> + '_ {
-        self.iter_shared().map(|(id, v)| (id, &**v))
-    }
-
-    /// Iterates over all live videos with their ids, yielding the shared
-    /// tree handles so a caller can hold a tree without copying it.
-    pub fn iter_shared(&self) -> impl Iterator<Item = (VideoId, &Arc<VideoTree>)> + '_ {
         self.slots
             .iter()
             .enumerate()
@@ -247,11 +241,11 @@ impl VideoStore {
             match op {
                 CorpusOp::Ingest(tree) => {
                     let id = VideoId(self.slots.len() as u32);
-                    self.slots.push(Some(Arc::new(tree.clone())));
+                    self.slots.push(Some(tree.clone()));
                     batch.ingested.push(id);
                 }
                 CorpusOp::Update(id, tree) => {
-                    self.slots[id.0 as usize] = Some(Arc::new(tree.clone()));
+                    self.slots[id.0 as usize] = Some(tree.clone());
                     batch.updated.push(*id);
                 }
                 CorpusOp::Remove(id) => {
@@ -288,7 +282,7 @@ impl Deserialize for VideoStore {
                 v.kind()
             )));
         };
-        let slots = Vec::<Option<Arc<VideoTree>>>::from_value(serde::field(fields, "videos"))?;
+        let slots = Vec::<Option<VideoTree>>::from_value(serde::field(fields, "videos"))?;
         let epoch = match serde::field(fields, "epoch") {
             Value::Null => 0,
             e => u64::from_value(e)?,
@@ -432,12 +426,39 @@ mod tests {
         let c = s.clone();
         assert_eq!(c.slot_count(), s.slot_count());
         assert!(!c.contains(a), "the tombstone is cloned as a tombstone");
-        let pairs: Vec<_> = s.iter_shared().zip(c.iter_shared()).collect();
+        let pairs: Vec<_> = s.iter().zip(c.iter()).collect();
         assert_eq!(pairs.len(), s.len());
         for ((id, tree), (cid, ctree)) in pairs {
             assert_eq!(id, cid);
-            assert!(Arc::ptr_eq(tree, ctree), "video {} was copied", id.0);
+            assert!(tree.ptr_eq(ctree), "video {} was copied", id.0);
         }
+    }
+
+    #[test]
+    fn apply_and_record_share_the_callers_tree() {
+        let mut s = VideoStore::new();
+        let a = s.add(tiny("a"));
+        let mut log = CorpusLog::starting_from(s.clone());
+        let ingest = tiny("b");
+        let update = tiny("a2");
+        let ops = [
+            CorpusOp::Ingest(ingest.clone()),
+            CorpusOp::Update(a, update.clone()),
+        ];
+        let batch = log.apply(&mut s, &ops).unwrap();
+        let b = batch.ingested[0];
+        // The store slots, the logged batch and the caller's trees all
+        // point at one copy of each video's contents.
+        assert!(s.video(b).ptr_eq(&ingest));
+        assert!(s.video(a).ptr_eq(&update));
+        let [CorpusOp::Ingest(logged_b), CorpusOp::Update(_, logged_a)] = &log.batches[0][..]
+        else {
+            panic!("the log records the batch as given");
+        };
+        assert!(logged_b.ptr_eq(&ingest));
+        assert!(logged_a.ptr_eq(&update));
+        // Replay shares them too.
+        assert!(log.replay_head().video(b).ptr_eq(&ingest));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The hierarchy tree of video segments.
 
 use crate::{Level, ModelError, ObjectId, ObjectInfo, SegmentId, SegmentMeta};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One node of the hierarchy: a video segment at some level, its children at
 /// the next level, and its meta-data.
@@ -39,8 +40,19 @@ impl SegmentNode {
 
 /// A single video: a tree of segments with uniform leaf depth, plus the
 /// registry of tracked objects appearing anywhere in the video.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// A sealed tree is immutable, so its contents sit behind one [`Arc`]:
+/// `clone()` copies a pointer, and a store, a mutation log, a batch and
+/// every serving snapshot holding the same video share one copy. The
+/// JSON form is the contents' own (see the `Serialize` impl).
+#[derive(Debug, Clone)]
 pub struct VideoTree {
+    data: Arc<TreeData>,
+}
+
+/// The contents of a [`VideoTree`].
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct TreeData {
     pub(crate) title: String,
     pub(crate) nodes: Vec<SegmentNode>,
     /// Optional level names, indexed by depth ("video", "scene", "shot", …).
@@ -50,10 +62,26 @@ pub struct VideoTree {
     pub(crate) levels: Vec<Vec<SegmentId>>,
 }
 
-impl VideoTree {
+// Serde forwards to the contents, so the JSON shape and bytes are those
+// of the plain struct the tree used to be.
+impl Serialize for VideoTree {
+    fn to_value(&self) -> Value {
+        self.data.to_value()
+    }
+}
+
+impl Deserialize for VideoTree {
+    fn from_value(v: &Value) -> Result<VideoTree, DeError> {
+        TreeData::from_value(v).map(|data| VideoTree {
+            data: Arc::new(data),
+        })
+    }
+}
+
+impl TreeData {
     /// Validates structural invariants and computes the derived level
     /// sequences and span tables. Called by [`crate::VideoBuilder::finish`].
-    pub(crate) fn seal(mut self) -> Result<Self, ModelError> {
+    pub(crate) fn seal(mut self) -> Result<VideoTree, ModelError> {
         if self.nodes.is_empty() {
             return Err(ModelError::EmptyVideo);
         }
@@ -127,31 +155,42 @@ impl VideoTree {
             self.nodes[id.0 as usize].spans = spans;
         }
         self.levels = levels;
-        Ok(self)
+        Ok(VideoTree {
+            data: Arc::new(self),
+        })
+    }
+}
+
+impl VideoTree {
+    /// Whether `self` and `other` share one copy of their contents (one is
+    /// a clone of the other).
+    #[must_use]
+    pub fn ptr_eq(&self, other: &VideoTree) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// The video's title.
     #[must_use]
     pub fn title(&self) -> &str {
-        &self.title
+        &self.data.title
     }
 
     /// The root segment (the whole video).
     #[must_use]
     pub fn root(&self) -> &SegmentNode {
-        &self.nodes[0]
+        &self.data.nodes[0]
     }
 
     /// Looks up a node by id. Panics on an id not from this tree.
     #[must_use]
     pub fn node(&self, id: SegmentId) -> &SegmentNode {
-        &self.nodes[id.0 as usize]
+        &self.data.nodes[id.0 as usize]
     }
 
     /// Number of levels in the hierarchy (root counts as one).
     #[must_use]
     pub fn depth(&self) -> u8 {
-        self.levels.len() as u8
+        self.data.levels.len() as u8
     }
 
     /// The deepest level (where the frames / atomic segments live).
@@ -165,7 +204,8 @@ impl VideoTree {
     /// Returns an empty slice for a depth beyond the tree.
     #[must_use]
     pub fn level_sequence(&self, depth: u8) -> &[SegmentId] {
-        self.levels
+        self.data
+            .levels
             .get(usize::from(depth))
             .map_or(&[], Vec::as_slice)
     }
@@ -173,7 +213,8 @@ impl VideoTree {
     /// Name of a level, if one was assigned ("scene", "shot", …).
     #[must_use]
     pub fn level_name(&self, depth: u8) -> Option<&str> {
-        self.level_names
+        self.data
+            .level_names
             .get(usize::from(depth))
             .and_then(|n| n.as_deref())
     }
@@ -181,7 +222,7 @@ impl VideoTree {
     /// Finds the depth of a named level (case-insensitive).
     #[must_use]
     pub fn level_by_name(&self, name: &str) -> Option<u8> {
-        self.level_names.iter().enumerate().find_map(|(d, n)| {
+        self.data.level_names.iter().enumerate().find_map(|(d, n)| {
             n.as_deref()
                 .filter(|n| n.eq_ignore_ascii_case(name))
                 .map(|_| d as u8)
@@ -221,23 +262,23 @@ impl VideoTree {
     /// Registry information about an object.
     #[must_use]
     pub fn object_info(&self, id: ObjectId) -> Option<&ObjectInfo> {
-        self.objects.get(&id)
+        self.data.objects.get(&id)
     }
 
     /// All object ids known to this video, in ascending order.
     pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objects.keys().copied()
+        self.data.objects.keys().copied()
     }
 
     /// All objects with registry info, in ascending id order.
     pub fn objects(&self) -> impl Iterator<Item = (ObjectId, &ObjectInfo)> + '_ {
-        self.objects.iter().map(|(k, v)| (*k, v))
+        self.data.objects.iter().map(|(k, v)| (*k, v))
     }
 
     /// Total number of segments in the video.
     #[must_use]
     pub fn segment_count(&self) -> usize {
-        self.nodes.len()
+        self.data.nodes.len()
     }
 
     /// Convenience: meta-data of the segment at a 0-based position within a

@@ -12,7 +12,7 @@
 //! epochs because a snapshot *is* one epoch.
 //!
 //! Invalidation is **incremental at per-video granularity**. Each live
-//! video is a [`LiveMember`]: its tree (`Arc`-shared into snapshots) plus
+//! video is a [`LiveMember`]: its tree (shared into snapshots) plus
 //! `R` replica [`PictureSystem`]s whose atomic caches, memo state and
 //! singleflight survive for as long as the member does. Applying a batch
 //! builds the next snapshot *aside*, reusing the member `Arc` for every
@@ -34,10 +34,10 @@
 //! the pre-batch epoch, and the batch publishes with one pointer swap.
 //! The retired snapshot drops after both locks are released.
 //!
-//! Trees are shared, not copied. [`VideoStore`] holds each tree in an
-//! `Arc`, so the writer's store, the log's base, a staged batch and
-//! every member point at one tree per video; staging a batch copies one
-//! pointer per video and `apply` costs O(touched videos).
+//! Trees are shared, not copied. A [`VideoTree`] keeps its contents
+//! behind one `Arc`, so the writer's store, the log's base, a staged
+//! batch and every member point at one tree per video; staging a batch
+//! copies one pointer per video and `apply` costs O(touched videos).
 //!
 //! Failure atomicity: a batch either commits in full or leaves the store,
 //! log and snapshot untouched at the pre-batch epoch. The rebuild of
@@ -52,10 +52,10 @@
 //! sound at its own epoch regardless of batches applied concurrently.
 
 use crate::shard::{
-    normalize_query, shard_of, ShardId, ShardedAnswer, ShardedDegraded, ShardedTopK,
+    eval_members, normalize_query, shard_of, CorpusHandles, ShardId, ShardedAnswer,
 };
 use crate::{CacheConfig, PictureSystem, ScoringConfig};
-use simvid_core::{merge_shard_streams, Engine, EngineConfig, EngineError, ShardHit, ShardStream};
+use simvid_core::{Budget, EngineConfig, EngineError, Plan, ShardStream};
 use simvid_htl::Formula;
 use simvid_model::{
     AppliedBatch, CorpusEpoch, CorpusError, CorpusLog, CorpusOp, VideoId, VideoStore, VideoTree,
@@ -101,7 +101,7 @@ struct LiveMember {
     /// Unique per (video, content) pair: a fresh member gets a fresh
     /// generation, so stale cached state is unreachable by construction.
     generation: u64,
-    tree: Arc<VideoTree>,
+    tree: VideoTree,
     replicas: Vec<PictureSystem<'static>>,
 }
 
@@ -168,7 +168,9 @@ struct Writer {
 /// isolation and invalidation model.
 pub struct LiveVideoDb {
     cfg: LiveConfig,
-    registry: Arc<Registry>,
+    /// The registry with the engine and gather metric handles resolved
+    /// once, shared by every pin.
+    handles: Arc<CorpusHandles>,
     writer: Mutex<Writer>,
     /// The published snapshot. Held only to clone or swap the `Arc`.
     snapshot: Mutex<Arc<LiveSnapshot>>,
@@ -193,15 +195,8 @@ impl LiveVideoDb {
         let epoch = store.epoch();
         let mut next_generation = 0;
         let mut shards: Vec<Vec<Arc<LiveMember>>> = (0..cfg.shards).map(|_| Vec::new()).collect();
-        for (video, tree) in store.iter_shared() {
-            let member = build_member(
-                &cfg,
-                &registry,
-                video,
-                Arc::clone(tree),
-                epoch,
-                next_generation,
-            );
+        for (video, tree) in store.iter() {
+            let member = build_member(&cfg, &registry, video, tree.clone(), epoch, next_generation);
             next_generation += 1;
             shards[shard_of(video, cfg.shards).0 as usize].push(member);
         }
@@ -223,7 +218,7 @@ impl LiveVideoDb {
             }),
             snapshot: Mutex::new(snapshot),
             cfg,
-            registry,
+            handles: CorpusHandles::new(registry),
             apply_faults: None,
         }
     }
@@ -241,7 +236,7 @@ impl LiveVideoDb {
     /// The metrics registry shared by every provider.
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.handles.registry()
     }
 
     /// The serving topology and tuning.
@@ -288,7 +283,7 @@ impl LiveVideoDb {
         LivePin {
             snapshot: self.published(),
             engine_cfg: self.cfg.engine,
-            registry: Arc::clone(&self.registry),
+            handles: Arc::clone(&self.handles),
         }
     }
 
@@ -333,7 +328,7 @@ impl LiveVideoDb {
         let mut shards: Vec<Vec<Arc<LiveMember>>> =
             (0..self.cfg.shards).map(|_| Vec::new()).collect();
         let mut retained = 0u64;
-        for (video, tree) in staged.iter_shared() {
+        for (video, tree) in staged.iter() {
             let member = match reuse.get(&video.0) {
                 Some(m) if !touched.contains(&video.0) => {
                     retained += m.resident_tables();
@@ -356,14 +351,7 @@ impl LiveVideoDb {
                     }
                     let gen = next_generation;
                     next_generation += 1;
-                    build_member(
-                        &self.cfg,
-                        &self.registry,
-                        video,
-                        Arc::clone(tree),
-                        epoch,
-                        gen,
-                    )
+                    build_member(&self.cfg, self.registry(), video, tree.clone(), epoch, gen)
                 }
             };
             shards[shard_of(video, self.cfg.shards).0 as usize].push(member);
@@ -403,14 +391,14 @@ fn build_member(
     cfg: &LiveConfig,
     registry: &Arc<Registry>,
     video: VideoId,
-    tree: Arc<VideoTree>,
+    tree: VideoTree,
     epoch: CorpusEpoch,
     generation: u64,
 ) -> Arc<LiveMember> {
     let replicas = (0..cfg.replicas)
         .map(|_| {
             PictureSystem::shared(
-                Arc::clone(&tree),
+                tree.clone(),
                 cfg.scoring.clone(),
                 cfg.cache,
                 Arc::clone(registry),
@@ -433,7 +421,7 @@ fn build_member(
 pub struct LivePin {
     snapshot: Arc<LiveSnapshot>,
     engine_cfg: EngineConfig,
-    registry: Arc<Registry>,
+    handles: Arc<CorpusHandles>,
 }
 
 impl LivePin {
@@ -495,20 +483,33 @@ impl LivePin {
         k: usize,
     ) -> Result<ShardStream, EngineError> {
         let normalized = normalize_query(query)?;
-        self.eval_shard_normalized(shard, normalized.as_ref(), depth, k)
+        self.eval_shard_planned(shard, &Plan::new(normalized.as_ref()), depth, k)
     }
 
-    fn eval_shard_normalized(
+    fn eval_shard_planned(
         &self,
         shard: ShardId,
-        query: &Formula,
+        plan: &Plan,
         depth: u8,
         k: usize,
     ) -> Result<ShardStream, EngineError> {
         let order = failover_order(self.snapshot.epoch.0, shard.0, self.snapshot.replicas);
+        let members = &self.snapshot.shards[shard.0 as usize];
+        let unlimited = Budget::unlimited();
         let mut last: Option<EngineError> = None;
         for ridx in order {
-            match self.eval_shard_on(shard, ridx as usize, query, depth, k) {
+            let replica = members
+                .iter()
+                .map(|m| (m.video, &m.tree, &m.replicas[ridx as usize]));
+            match eval_members(
+                shard,
+                replica,
+                plan,
+                (depth, k),
+                self.engine_cfg,
+                &self.handles.engine,
+                &unlimited,
+            ) {
                 Ok(stream) => return Ok(stream),
                 Err(e) if e.is_degradable() => last = Some(e),
                 Err(e) => return Err(e),
@@ -520,37 +521,6 @@ impl LivePin {
             shard,
             last.map_or_else(|| "none tried".to_owned(), |e| e.to_string()),
         )))
-    }
-
-    fn eval_shard_on(
-        &self,
-        shard: ShardId,
-        ridx: usize,
-        query: &Formula,
-        depth: u8,
-        k: usize,
-    ) -> Result<ShardStream, EngineError> {
-        let mut hits: Vec<ShardHit> = Vec::new();
-        for m in &self.snapshot.shards[shard.0 as usize] {
-            if depth >= m.tree.depth() {
-                continue;
-            }
-            let provider = &m.replicas[ridx];
-            let engine = Engine::with_registry(
-                provider,
-                &m.tree,
-                self.engine_cfg,
-                Arc::clone(&self.registry),
-            );
-            for seg in engine.top_k_closed(query, depth, k)? {
-                hits.push(ShardHit {
-                    video: m.video,
-                    pos: seg.pos,
-                    sim: seg.sim,
-                });
-            }
-        }
-        Ok(ShardStream::new(shard.0, hits))
     }
 
     /// Merges per-shard outcomes exactly as
@@ -567,51 +537,14 @@ impl LivePin {
         per_shard: Vec<(ShardId, Result<ShardStream, EngineError>)>,
         k: usize,
     ) -> Result<ShardedAnswer, EngineError> {
-        let ok = self.registry.counter("shard.outcome.ok");
-        let failed_ctr = self.registry.counter("shard.outcome.failed");
-        let pruned = self.registry.counter("shard.candidates_pruned");
-        let early = self.registry.counter("shard.early_terminated");
-        let mut streams: Vec<ShardStream> = Vec::with_capacity(per_shard.len());
-        let mut failed: Vec<(ShardId, String)> = Vec::new();
-        for (id, outcome) in per_shard {
-            match outcome {
-                Ok(stream) => {
-                    ok.inc();
-                    streams.push(stream);
-                }
-                Err(e) if e.is_degradable() => {
-                    failed_ctr.inc();
-                    failed.push((id, e.to_string()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // The formula-level maximum similarity is video-independent —
-        // in particular, independent of the corpus epoch — so any
-        // surviving hit's `max` soundly bounds anything a failed shard
-        // could have contributed, churn or no churn.
-        let missing_bound = streams
-            .iter()
-            .find_map(|s| s.hits.first().map(|h| h.sim.max))
-            .unwrap_or(f64::INFINITY);
-        let (ranked, merge) = merge_shard_streams(&streams, k);
-        pruned.add(merge.candidates_pruned);
-        early.add(merge.early_terminated);
-        if failed.is_empty() {
-            Ok(ShardedAnswer::Complete(ShardedTopK { ranked, merge }))
-        } else {
-            Ok(ShardedAnswer::Degraded(ShardedDegraded {
-                ranked,
-                merge,
-                failed,
-                missing_bound,
-            }))
-        }
+        self.handles.gather(per_shard, k)
     }
 
     /// Scatter-gather top-`k` over this pin's epoch. Bit-identical to a
     /// [`crate::ShardedVideoDb`] partitioned from the store rebuilt at
     /// the same epoch — the oracle property the churn suites enforce.
+    /// The query is normalized and planned once for all shards and
+    /// videos.
     ///
     /// # Errors
     ///
@@ -624,11 +557,11 @@ impl LivePin {
         k: usize,
     ) -> Result<ShardedAnswer, EngineError> {
         let normalized = normalize_query(query)?;
-        let query = normalized.as_ref();
+        let plan = Plan::new(normalized.as_ref());
         let per_shard = (0..self.shard_count())
             .map(|s| {
                 let id = ShardId(s);
-                (id, self.eval_shard_normalized(id, query, depth, k))
+                (id, self.eval_shard_planned(id, &plan, depth, k))
             })
             .collect();
         self.gather(per_shard, k)
@@ -639,6 +572,7 @@ impl LivePin {
 mod tests {
     use super::*;
     use crate::ShardedVideoDb;
+    use simvid_core::ShardHit;
     use simvid_htl::parse;
     use simvid_model::VideoBuilder;
 
@@ -771,10 +705,10 @@ mod tests {
         let writer = db.writer.lock().unwrap();
         let pin = db.pin();
         assert_eq!(pin.video_count(), writer.store.len());
-        for (video, tree) in writer.store.iter_shared() {
+        for (video, tree) in writer.store.iter() {
             let member = pin.member(video).expect("live video has a member");
             assert!(
-                Arc::ptr_eq(&member.tree, tree),
+                member.tree.ptr_eq(tree),
                 "video {} must share the store's tree",
                 video.0
             );
@@ -788,8 +722,8 @@ mod tests {
         // The log base shares them too: replaying to the base epoch
         // clones the base, which copies pointers only.
         let base = db.replay_to(CorpusEpoch(0));
-        for (video, tree) in base.iter_shared() {
-            assert!(Arc::ptr_eq(&db.pin().member(video).unwrap().tree, tree));
+        for (video, tree) in base.iter() {
+            assert!(db.pin().member(video).unwrap().tree.ptr_eq(tree));
         }
 
         let before = db.pin();
@@ -799,10 +733,11 @@ mod tests {
         let after = db.pin();
         for v in [0u32, 1, 3] {
             assert!(
-                Arc::ptr_eq(
-                    &before.member(VideoId(v)).unwrap().tree,
-                    &after.member(VideoId(v)).unwrap().tree
-                ),
+                before
+                    .member(VideoId(v))
+                    .unwrap()
+                    .tree
+                    .ptr_eq(&after.member(VideoId(v)).unwrap().tree),
                 "untouched video {v} keeps its tree across the apply"
             );
         }

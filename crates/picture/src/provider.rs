@@ -17,11 +17,11 @@ use std::sync::{Arc, Mutex};
 
 /// How a [`PictureSystem`] holds its video: borrowed from a frozen
 /// [`simvid_model::VideoStore`] (the classic build-time path) or shared
-/// via `Arc` (the live-ingestion path, where snapshots outlive any one
-/// borrow of the mutable store).
+/// by an O(1) tree clone (the live-ingestion path, where snapshots
+/// outlive any one borrow of the mutable store).
 enum TreeHandle<'a> {
     Borrowed(&'a VideoTree),
-    Shared(Arc<VideoTree>),
+    Shared(VideoTree),
 }
 
 impl TreeHandle<'_> {
@@ -96,13 +96,14 @@ impl<'a> PictureSystem<'a> {
         }
     }
 
-    /// Creates a picture system that *shares* its video via [`Arc`]
-    /// instead of borrowing it — the live-ingestion path, where an
+    /// Creates a picture system that *shares* its video (a [`VideoTree`]
+    /// clone copies a pointer) instead of borrowing it — the
+    /// live-ingestion path, where an
     /// epoch snapshot must keep the tree alive independently of the
     /// mutable store it came from.
     #[must_use]
     pub fn shared(
-        tree: Arc<VideoTree>,
+        tree: VideoTree,
         config: ScoringConfig,
         cache: CacheConfig,
         registry: Arc<Registry>,
@@ -179,6 +180,14 @@ impl<'a> PictureSystem<'a> {
             .compiled_with(FormulaId::of(f), || AtomicQuery::compile(f, &self.config))
     }
 
+    /// The compiled form of an atomic unit, keyed on the id the unit
+    /// carries — no re-interning on the per-video hot path.
+    fn compiled_unit(&self, unit: &AtomicUnit) -> Arc<Result<AtomicQuery, QueryError>> {
+        self.cache.compiled_with(unit.id, || {
+            AtomicQuery::compile(&unit.formula, &self.config)
+        })
+    }
+
     /// The (cached) index for a level.
     fn index(&self, depth: u8) -> Arc<LevelIndex> {
         self.indices
@@ -230,10 +239,7 @@ impl AtomicProvider for PictureSystem<'_> {
     /// repeated uses of the same malformed unit re-raise the cached error
     /// without recompiling.
     fn atomic_table(&self, unit: &AtomicUnit, ctx: SeqContext) -> Arc<SimilarityTable> {
-        let id = FormulaId::of(&unit.formula);
-        let compiled = self
-            .cache
-            .compiled_with(id, || AtomicQuery::compile(&unit.formula, &self.config));
+        let compiled = self.compiled_unit(unit);
         let q = compiled
             .as_ref()
             .as_ref()
@@ -241,7 +247,7 @@ impl AtomicProvider for PictureSystem<'_> {
         // The cache's shared `Arc` goes straight to the engine: hits are a
         // reference-count bump, and the engine clones (shallowly — rows
         // share their lists) only if it needs to mutate.
-        self.cache.table_with(id, ctx, || {
+        self.cache.table_with(unit.id, ctx, || {
             let ix = self.index(ctx.depth);
             score_window(self.tree.tree(), &ix, ctx.depth, ctx.lo, ctx.hi, q)
         })
@@ -258,10 +264,7 @@ impl AtomicProvider for PictureSystem<'_> {
         unit: &AtomicUnit,
         ctx: SeqContext,
     ) -> Result<Arc<SimilarityTable>, ProviderError> {
-        let id = FormulaId::of(&unit.formula);
-        let compiled = self
-            .cache
-            .compiled_with(id, || AtomicQuery::compile(&unit.formula, &self.config));
+        let compiled = self.compiled_unit(unit);
         let q = match compiled.as_ref() {
             Ok(q) => q,
             Err(e) => {
@@ -271,21 +274,22 @@ impl AtomicProvider for PictureSystem<'_> {
                 )))
             }
         };
-        self.cache.try_table_with::<ProviderError>(id, ctx, || {
-            let ix = self.index(ctx.depth);
-            Ok(score_window(
-                self.tree.tree(),
-                &ix,
-                ctx.depth,
-                ctx.lo,
-                ctx.hi,
-                q,
-            ))
-        })
+        self.cache
+            .try_table_with::<ProviderError>(unit.id, ctx, || {
+                let ix = self.index(ctx.depth);
+                Ok(score_window(
+                    self.tree.tree(),
+                    &ix,
+                    ctx.depth,
+                    ctx.lo,
+                    ctx.hi,
+                    q,
+                ))
+            })
     }
 
     fn atomic_max(&self, unit: &AtomicUnit) -> f64 {
-        self.compiled(&unit.formula)
+        self.compiled_unit(unit)
             .as_ref()
             .as_ref()
             .unwrap_or_else(|e| panic!("invalid atomic unit `{}`: {e}", unit.formula))
@@ -502,11 +506,7 @@ mod tests {
     #[test]
     fn bad_scoring_weights_are_permanent_errors() {
         let tree = flight();
-        let unit = AtomicUnit {
-            formula: parse("exists z . present(z) and height(z) > 150").unwrap(),
-            free_objs: Vec::new(),
-            free_attrs: Vec::new(),
-        };
+        let unit = AtomicUnit::of(&parse("exists z . present(z) and height(z) > 150").unwrap());
         let ctx = SeqContext {
             depth: 1,
             lo: 0,
@@ -535,6 +535,7 @@ mod tests {
         // infallible path panics on it, the fallible one must not.
         let f = parse("eventually present(z)").unwrap();
         let unit = AtomicUnit {
+            id: FormulaId::of(&f),
             formula: f,
             free_objs: vec![simvid_htl::ObjVar("z".into())],
             free_attrs: Vec::new(),
@@ -551,11 +552,7 @@ mod tests {
             other => panic!("expected Permanent compile error, got {other:?}"),
         }
         // A valid unit still scores through the same fallible path.
-        let ok = AtomicUnit {
-            formula: parse("exists z . present(z)").unwrap(),
-            free_objs: Vec::new(),
-            free_attrs: Vec::new(),
-        };
+        let ok = AtomicUnit::of(&parse("exists z . present(z)").unwrap());
         let table = sys.try_atomic_table(&ok, ctx).unwrap();
         assert!(table.max > 0.0);
     }

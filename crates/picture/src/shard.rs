@@ -28,12 +28,12 @@
 
 use crate::{CacheConfig, PictureSystem, ScoringConfig};
 use simvid_core::{
-    merge_shard_streams, AtomicProvider, Budget, Engine, EngineConfig, EngineError, MergeStats,
-    ShardHit, ShardStream, TopKAnswer,
+    merge_shard_streams, AtomicProvider, Budget, Engine, EngineConfig, EngineError, EngineHandles,
+    MergeStats, Plan, ShardHit, ShardStream, TopKAnswer,
 };
 use simvid_htl::{classify, normalize_for_engine, Formula, FormulaClass};
 use simvid_model::{CorpusEpoch, VideoId, VideoStore, VideoTree};
-use simvid_obs::Registry;
+use simvid_obs::{Counter, Histogram, Registry};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -77,10 +77,119 @@ struct ShardMember<'a, P> {
     provider: P,
 }
 
-/// One shard: a stable id and the videos hashed into it.
+/// One shard: a stable id, the videos hashed into it, and its
+/// `shard.<id>.eval_seconds` histogram.
 struct Shard<'a, P> {
     id: ShardId,
     members: Vec<ShardMember<'a, P>>,
+    eval_seconds: Arc<Histogram>,
+}
+
+/// The metric handles a corpus resolves once per registry and uses on
+/// every request: the engine's, and the gather step's `shard.*` counters.
+pub(crate) struct CorpusHandles {
+    pub(crate) engine: Arc<EngineHandles>,
+    ok: Arc<Counter>,
+    failed: Arc<Counter>,
+    candidates_pruned: Arc<Counter>,
+    early_terminated: Arc<Counter>,
+}
+
+impl CorpusHandles {
+    pub(crate) fn new(registry: Arc<Registry>) -> Arc<CorpusHandles> {
+        Arc::new(CorpusHandles {
+            ok: registry.counter("shard.outcome.ok"),
+            failed: registry.counter("shard.outcome.failed"),
+            candidates_pruned: registry.counter("shard.candidates_pruned"),
+            early_terminated: registry.counter("shard.early_terminated"),
+            engine: EngineHandles::new(registry),
+        })
+    }
+
+    pub(crate) fn registry(&self) -> &Arc<Registry> {
+        self.engine.registry()
+    }
+
+    /// Merges per-shard evaluation outcomes into a [`ShardedAnswer`],
+    /// counting shard outcomes (`shard.outcome.ok` / `shard.outcome.failed`)
+    /// and coordinator savings (`shard.candidates_pruned`,
+    /// `shard.early_terminated`). Every corpus type gathers here, so a
+    /// request is accounted identically wherever its shards ran.
+    pub(crate) fn gather(
+        &self,
+        per_shard: Vec<(ShardId, Result<ShardStream, EngineError>)>,
+        k: usize,
+    ) -> Result<ShardedAnswer, EngineError> {
+        let mut streams: Vec<ShardStream> = Vec::with_capacity(per_shard.len());
+        let mut failed: Vec<(ShardId, String)> = Vec::new();
+        for (id, outcome) in per_shard {
+            match outcome {
+                Ok(stream) => {
+                    self.ok.inc();
+                    streams.push(stream);
+                }
+                Err(e) if e.is_degradable() => {
+                    self.failed.inc();
+                    failed.push((id, e.to_string()));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        // The formula-level maximum similarity is video-independent — in
+        // particular, independent of the corpus epoch — so any surviving
+        // hit's `max` bounds anything a failed shard could have
+        // contributed. No surviving hit → no certificate → infinity.
+        let missing_bound = streams
+            .iter()
+            .find_map(|s| s.hits.first().map(|h| h.sim.max))
+            .unwrap_or(f64::INFINITY);
+        let (ranked, merge) = merge_shard_streams(&streams, k);
+        self.candidates_pruned.add(merge.candidates_pruned);
+        self.early_terminated.add(merge.early_terminated);
+        if failed.is_empty() {
+            Ok(ShardedAnswer::Complete(ShardedTopK { ranked, merge }))
+        } else {
+            Ok(ShardedAnswer::Degraded(ShardedDegraded {
+                ranked,
+                merge,
+                failed,
+                missing_bound,
+            }))
+        }
+    }
+}
+
+/// Evaluates one plan on each `(video, tree, provider)` member, with one
+/// engine per video built on the shared `handles`, and collects every
+/// member's top-`k` into a shard stream. A degraded member answer
+/// surfaces as its reason: a shard stream must be exact.
+pub(crate) fn eval_members<'m, P: AtomicProvider + 'm>(
+    shard: ShardId,
+    members: impl Iterator<Item = (VideoId, &'m VideoTree, &'m P)>,
+    plan: &Plan,
+    (depth, k): (u8, usize),
+    engine_cfg: EngineConfig,
+    handles: &Arc<EngineHandles>,
+    budget: &Budget,
+) -> Result<ShardStream, EngineError> {
+    let mut hits: Vec<ShardHit> = Vec::new();
+    for (video, tree, provider) in members {
+        if depth >= tree.depth() {
+            continue;
+        }
+        let engine = Engine::with_handles(provider, tree, engine_cfg, Arc::clone(handles));
+        match engine.top_k_plan_resilient(plan, depth, k, budget)? {
+            TopKAnswer::Complete(ranked) => {
+                hits.extend(ranked.into_iter().map(|seg| ShardHit {
+                    video,
+                    pos: seg.pos,
+                    sim: seg.sim,
+                }));
+            }
+            TopKAnswer::Degraded(d) => return Err(d.reason),
+        }
+    }
+    Ok(ShardStream::new(shard.0, hits))
 }
 
 /// The complete scatter-gather answer: the corpus-wide top-`k` plus the
@@ -160,7 +269,7 @@ impl ShardedAnswer {
 pub struct ShardedVideoDb<'a, P: AtomicProvider> {
     shards: Vec<Shard<'a, P>>,
     engine_cfg: EngineConfig,
-    registry: Arc<Registry>,
+    handles: Arc<CorpusHandles>,
     /// The corpus epoch the partition was built against. A frozen db
     /// serves this one epoch forever; the live layer builds a fresh
     /// snapshot per epoch instead of mutating one in place.
@@ -191,6 +300,7 @@ impl<'a> ShardedVideoDb<'a, PictureSystem<'a>> {
             .map(|i| Shard {
                 id: ShardId(i),
                 members: Vec::new(),
+                eval_seconds: registry.histogram(&format!("shard.{i}.eval_seconds")),
             })
             .collect();
         let epoch = store.epoch();
@@ -211,7 +321,7 @@ impl<'a> ShardedVideoDb<'a, PictureSystem<'a>> {
         ShardedVideoDb {
             shards: buckets,
             engine_cfg,
-            registry,
+            handles: CorpusHandles::new(registry),
             epoch,
         }
     }
@@ -242,12 +352,13 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
                         provider: f(s.id, m.video, m.provider),
                     })
                     .collect(),
+                eval_seconds: s.eval_seconds,
             })
             .collect();
         ShardedVideoDb {
             shards,
             engine_cfg: self.engine_cfg,
-            registry: self.registry,
+            handles: self.handles,
             epoch: self.epoch,
         }
     }
@@ -292,7 +403,7 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
     /// The metrics registry shared by every shard.
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.handles.registry()
     }
 
     /// Evaluates `query` on one shard and returns its ranked candidate
@@ -312,24 +423,17 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
         depth: u8,
         k: usize,
     ) -> Result<ShardStream, EngineError> {
-        let normalized = normalize_query(query)?;
-        self.eval_shard_inner(
-            &self.shards[shard.0 as usize],
-            normalized.as_ref(),
-            depth,
-            k,
-        )
+        self.eval_shard_budgeted(shard, query, depth, k, &Budget::unlimited())
     }
 
     /// [`ShardedVideoDb::eval_shard`] under a request [`Budget`]: member
-    /// evaluations go through [`Engine::top_k_closed_resilient`] sharing
+    /// evaluations go through [`Engine::top_k_plan_resilient`] sharing
     /// one budget across the whole shard, and a budget violation surfaces
     /// as its typed error instead of a partial stream (a shard stream must
     /// be exact — soundness of the merge depends on it). With
-    /// [`Budget::unlimited`] this is bit-identical to
-    /// [`ShardedVideoDb::eval_shard`], which is the same path with the
-    /// same unlimited budget. The replicated store uses the fuel cap to
-    /// implement deterministic hedged reads.
+    /// [`Budget::unlimited`] this is [`ShardedVideoDb::eval_shard`]. The
+    /// replicated store uses the fuel cap to implement deterministic
+    /// hedged reads.
     ///
     /// # Errors
     ///
@@ -345,72 +449,31 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
         budget: &Budget,
     ) -> Result<ShardStream, EngineError> {
         let normalized = normalize_query(query)?;
-        let query = normalized.as_ref();
-        let shard = &self.shards[shard.0 as usize];
-        let timer = self
-            .registry
-            .histogram(&format!("shard.{}.eval_seconds", shard.id.0));
-        let t0 = Instant::now();
-        let mut hits: Vec<ShardHit> = Vec::new();
-        for m in &shard.members {
-            if depth >= m.tree.depth() {
-                continue;
-            }
-            let engine = Engine::with_registry(
-                &m.provider,
-                m.tree,
-                self.engine_cfg,
-                Arc::clone(&self.registry),
-            );
-            match engine.top_k_closed_resilient(query, depth, k, budget)? {
-                TopKAnswer::Complete(ranked) => {
-                    for seg in ranked {
-                        hits.push(ShardHit {
-                            video: m.video,
-                            pos: seg.pos,
-                            sim: seg.sim,
-                        });
-                    }
-                }
-                TopKAnswer::Degraded(d) => return Err(d.reason),
-            }
-        }
-        timer.record_duration(t0.elapsed());
-        Ok(ShardStream::new(shard.id.0, hits))
+        let plan = Plan::new(normalized.as_ref());
+        self.eval_planned(&self.shards[shard.0 as usize], &plan, depth, k, budget)
     }
 
-    fn eval_shard_inner(
+    fn eval_planned(
         &self,
         shard: &Shard<'a, P>,
-        query: &Formula,
+        plan: &Plan,
         depth: u8,
         k: usize,
+        budget: &Budget,
     ) -> Result<ShardStream, EngineError> {
-        let timer = self
-            .registry
-            .histogram(&format!("shard.{}.eval_seconds", shard.id.0));
         let t0 = Instant::now();
-        let mut hits: Vec<ShardHit> = Vec::new();
-        for m in &shard.members {
-            if depth >= m.tree.depth() {
-                continue;
-            }
-            let engine = Engine::with_registry(
-                &m.provider,
-                m.tree,
-                self.engine_cfg,
-                Arc::clone(&self.registry),
-            );
-            for seg in engine.top_k_closed(query, depth, k)? {
-                hits.push(ShardHit {
-                    video: m.video,
-                    pos: seg.pos,
-                    sim: seg.sim,
-                });
-            }
-        }
-        timer.record_duration(t0.elapsed());
-        Ok(ShardStream::new(shard.id.0, hits))
+        let members = shard.members.iter().map(|m| (m.video, m.tree, &m.provider));
+        let stream = eval_members(
+            shard.id,
+            members,
+            plan,
+            (depth, k),
+            self.engine_cfg,
+            &self.handles.engine,
+            budget,
+        )?;
+        shard.eval_seconds.record_duration(t0.elapsed());
+        Ok(stream)
     }
 
     /// Merges per-shard evaluation outcomes into a [`ShardedAnswer`],
@@ -429,45 +492,7 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
         per_shard: Vec<(ShardId, Result<ShardStream, EngineError>)>,
         k: usize,
     ) -> Result<ShardedAnswer, EngineError> {
-        let ok = self.registry.counter("shard.outcome.ok");
-        let failed_ctr = self.registry.counter("shard.outcome.failed");
-        let pruned = self.registry.counter("shard.candidates_pruned");
-        let early = self.registry.counter("shard.early_terminated");
-        let mut streams: Vec<ShardStream> = Vec::with_capacity(per_shard.len());
-        let mut failed: Vec<(ShardId, String)> = Vec::new();
-        for (id, outcome) in per_shard {
-            match outcome {
-                Ok(stream) => {
-                    ok.inc();
-                    streams.push(stream);
-                }
-                Err(e) if e.is_degradable() => {
-                    failed_ctr.inc();
-                    failed.push((id, e.to_string()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // The formula-level maximum similarity is video-independent, so
-        // any surviving hit's `max` bounds anything a failed shard could
-        // have contributed. No surviving hit → no certificate → infinity.
-        let missing_bound = streams
-            .iter()
-            .find_map(|s| s.hits.first().map(|h| h.sim.max))
-            .unwrap_or(f64::INFINITY);
-        let (ranked, merge) = merge_shard_streams(&streams, k);
-        pruned.add(merge.candidates_pruned);
-        early.add(merge.early_terminated);
-        if failed.is_empty() {
-            Ok(ShardedAnswer::Complete(ShardedTopK { ranked, merge }))
-        } else {
-            Ok(ShardedAnswer::Degraded(ShardedDegraded {
-                ranked,
-                merge,
-                failed,
-                missing_bound,
-            }))
-        }
+        self.handles.gather(per_shard, k)
     }
 
     /// Scatter-gather top-`k`: evaluates `query` on every shard and
@@ -485,11 +510,12 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
         k: usize,
     ) -> Result<ShardedAnswer, EngineError> {
         let normalized = normalize_query(query)?;
-        let query = normalized.as_ref();
+        let plan = Plan::new(normalized.as_ref());
+        let unlimited = Budget::unlimited();
         let per_shard = self
             .shards
             .iter()
-            .map(|s| (s.id, self.eval_shard_inner(s, query, depth, k)))
+            .map(|s| (s.id, self.eval_planned(s, &plan, depth, k, &unlimited)))
             .collect();
         self.gather(per_shard, k)
     }
@@ -509,29 +535,23 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
         k: usize,
     ) -> Result<Vec<ShardHit>, EngineError> {
         let normalized = normalize_query(query)?;
-        let query = normalized.as_ref();
-        let mut hits: Vec<ShardHit> = Vec::new();
-        for s in &self.shards {
-            for m in &s.members {
-                if depth >= m.tree.depth() {
-                    continue;
-                }
-                let engine = Engine::with_registry(
-                    &m.provider,
-                    m.tree,
-                    self.engine_cfg,
-                    Arc::clone(&self.registry),
-                );
-                for seg in engine.top_k_closed(query, depth, k)? {
-                    hits.push(ShardHit {
-                        video: m.video,
-                        pos: seg.pos,
-                        sim: seg.sim,
-                    });
-                }
-            }
-        }
-        hits.sort_by(simvid_core::global_rank);
+        let plan = Plan::new(normalized.as_ref());
+        let members = self
+            .shards
+            .iter()
+            .flat_map(|s| &s.members)
+            .map(|m| (m.video, m.tree, &m.provider));
+        // One stream over every video is already in global rank order.
+        let mut hits = eval_members(
+            ShardId(0),
+            members,
+            &plan,
+            (depth, k),
+            self.engine_cfg,
+            &self.handles.engine,
+            &Budget::unlimited(),
+        )?
+        .hits;
         hits.truncate(k);
         Ok(hits)
     }

@@ -12,7 +12,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simvid_core::{
-    AtomicProvider, Budget, Engine, EngineConfig, EngineError, Interval, RankedSegment, TopKAnswer,
+    AtomicProvider, Budget, Engine, EngineConfig, EngineError, EngineHandles, Interval,
+    RankedSegment, TopKAnswer,
 };
 use simvid_htl::{parse, Formula};
 use simvid_model::VideoTree;
@@ -602,6 +603,8 @@ pub fn run_schedule_concurrent<P: AtomicProvider>(
     let coalesced_before = coalesced_total.get();
     let pruned_before = pruned_total.get();
     let start = Instant::now();
+    // One set of engine metric handles for every worker's engine.
+    let handles = EngineHandles::new(Arc::clone(registry));
     std::thread::scope(|scope| {
         for wid in 0..workers {
             let queue = &queue;
@@ -609,10 +612,10 @@ pub fn run_schedule_concurrent<P: AtomicProvider>(
             let requests = &requests;
             let latency = &latency;
             let worker_latency = registry.histogram(&format!("serve.worker.{wid}.request_seconds"));
-            let registry = Arc::clone(registry);
+            let handles = Arc::clone(&handles);
             scope.spawn(move || {
                 let _guard = CloseOnPanic(queue);
-                let engine = Engine::with_registry(provider, &w.tree, engine_config, registry);
+                let engine = Engine::with_handles(provider, &w.tree, engine_config, handles);
                 while let Some(r) = queue.pop() {
                     let t0 = Instant::now();
                     let out = engine
@@ -699,6 +702,8 @@ pub fn run_schedule_resilient_concurrent<P: AtomicProvider>(
         w.schedule.iter().map(|_| Mutex::new(None)).collect();
     let coalesced_before = coalesced_total.get();
     let start = Instant::now();
+    // One set of engine metric handles for every worker's engine.
+    let handles = EngineHandles::new(Arc::clone(registry));
     std::thread::scope(|scope| {
         for wid in 0..workers {
             let queue = &queue;
@@ -708,10 +713,10 @@ pub fn run_schedule_resilient_concurrent<P: AtomicProvider>(
             let (ok, degraded, failed, shed) = (&ok, &degraded, &failed, &shed);
             let before_request = &before_request;
             let worker_latency = registry.histogram(&format!("serve.worker.{wid}.request_seconds"));
-            let registry = Arc::clone(registry);
+            let handles = Arc::clone(&handles);
             scope.spawn(move || {
                 let _guard = CloseOnPanic(queue);
-                let engine = Engine::with_registry(provider, &w.tree, engine_config, registry);
+                let engine = Engine::with_handles(provider, &w.tree, engine_config, handles);
                 while let Some(r) = queue.pop() {
                     before_request(r);
                     let budget = limits.budget();
@@ -828,6 +833,8 @@ pub fn run_schedule_admission<P: AtomicProvider>(
         w.schedule.iter().map(|_| Mutex::new(None)).collect();
     let coalesced_before = coalesced_total.get();
     let start = Instant::now();
+    // One set of engine metric handles for every worker's engine.
+    let handles = EngineHandles::new(Arc::clone(registry));
     std::thread::scope(|scope| {
         for wid in 0..workers {
             let queue = &queue;
@@ -837,10 +844,10 @@ pub fn run_schedule_admission<P: AtomicProvider>(
             let (ok, degraded, failed, shed) = (&ok, &degraded, &failed, &shed);
             let browned = &browned;
             let worker_latency = registry.histogram(&format!("serve.worker.{wid}.request_seconds"));
-            let registry = Arc::clone(registry);
+            let handles = Arc::clone(&handles);
             scope.spawn(move || {
                 let _guard = CloseOnPanic(queue);
-                let engine = Engine::with_registry(provider, &w.tree, engine_config, registry);
+                let engine = Engine::with_handles(provider, &w.tree, engine_config, handles);
                 while let Some(r) = queue.pop() {
                     // Brownout is decided at serve time from live queue
                     // pressure: the backlog behind this request, not the

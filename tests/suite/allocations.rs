@@ -6,7 +6,8 @@
 //! change that quietly reintroduces per-call cloning fails CI. This test
 //! binary installs a counting global allocator — confined to this binary,
 //! so no production code path ever sees it — and asserts an upper bound on
-//! heap allocations per warm serve query.
+//! heap allocations per warm serve query and per video of a warm corpus
+//! query.
 //!
 //! The bound is deliberately generous (roughly 2× the measured value at
 //! the time of writing) so it only trips on structural regressions — a
@@ -16,12 +17,14 @@
 
 use simvid_core::Engine;
 use simvid_htl::parse;
-use simvid_picture::{CacheConfig, PictureSystem, ScoringConfig};
+use simvid_model::VideoStore;
+use simvid_obs::Registry;
+use simvid_picture::{CacheConfig, LiveConfig, LiveVideoDb, PictureSystem, ScoringConfig};
 use simvid_workload::randomvideo::{generate as generate_video, VideoGenConfig};
 use simvid_workload::serve;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Counts allocations (and reallocations) while armed; delegates all real
 /// work to the system allocator.
@@ -168,6 +171,67 @@ fn cold_two_variable_scoring_stays_under_allocation_budget() {
         "cold scoring allocates too much: {allocations} allocations \
          (budget {MAX_COLD_SCORE_ALLOCATIONS}). A jump here usually means \
          per-binding environments or clones crept back into the scorer."
+    );
+    assert!(
+        allocations > 0,
+        "the counting allocator must observe the workload"
+    );
+}
+
+/// Upper bound on heap allocations per video per warm corpus query: a
+/// `LivePin::top_k` over a 2-shard live corpus, averaged over the serve
+/// pool and the videos. The corpus plans each query once and builds each
+/// video's engine on shared metric handles; measured 18 per video when
+/// introduced. Before that, every video's engine re-resolved its 14
+/// `engine.*` metrics by name and re-derived the atomic units and memo
+/// keys per node: 74 per video. The bound leaves ~2× headroom.
+const MAX_CORPUS_ALLOCATIONS_PER_VIDEO: u64 = 36;
+
+#[test]
+fn warm_corpus_queries_stay_under_allocation_budget_per_video() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
+    const VIDEOS: u64 = 8;
+    let mut store = VideoStore::new();
+    for seed in 0..VIDEOS {
+        store.add(generate_video(
+            &VideoGenConfig {
+                branching: vec![16],
+                object_count: 10,
+                objects_per_leaf: 3.0,
+                ..VideoGenConfig::default()
+            },
+            seed,
+        ));
+    }
+    let db = LiveVideoDb::new(
+        store,
+        LiveConfig {
+            shards: 2,
+            ..LiveConfig::default()
+        },
+        Arc::new(Registry::new()),
+    );
+    let pool = serve::query_pool();
+    let pin = db.pin();
+    // Prime every video's caches with every query.
+    for f in &pool {
+        pin.top_k(f, 1, 10).unwrap();
+    }
+    const ROUNDS: u64 = 3;
+    let allocations = count_allocations(|| {
+        for _ in 0..ROUNDS {
+            for f in &pool {
+                pin.top_k(f, 1, 10).unwrap();
+            }
+        }
+    });
+    let per_video = allocations / (ROUNDS * pool.len() as u64 * VIDEOS);
+    assert!(
+        per_video <= MAX_CORPUS_ALLOCATIONS_PER_VIDEO,
+        "warm corpus queries allocate too much: {per_video} per video per query \
+         (budget {MAX_CORPUS_ALLOCATIONS_PER_VIDEO}; total {allocations}). A jump here \
+         usually means per-video engine set-up or per-node planning crept back \
+         into the scatter loop — see docs/performance.md."
     );
     assert!(
         allocations > 0,

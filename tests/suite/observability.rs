@@ -125,6 +125,33 @@ fn counters_are_identical_across_sequential_and_parallel_engines() {
 }
 
 #[test]
+fn eval_stats_count_only_this_engines_work_on_a_shared_registry() {
+    let (tree, provider) = scene_workload();
+    let f = parse("(at shot level (P1() until P2())) and eventually at shot level P1()").unwrap();
+    let registry = Arc::new(Registry::new());
+    let a = Engine::with_registry(&provider, &tree, EngineConfig::default(), registry.clone());
+    let b = Engine::with_registry(&provider, &tree, EngineConfig::default(), registry.clone());
+    a.top_k_closed(&f, 1, 5).unwrap();
+    let own = a.stats();
+    assert!(own.atomic_fetches > 0 && own.entries_processed > 0);
+    // Another engine's evaluation on the same registry must not leak into
+    // A's per-evaluation view...
+    b.top_k_closed(&f, 1, 5).unwrap();
+    assert_eq!(a.stats(), own, "A reports B's work as its own");
+    assert_eq!(b.stats(), own, "same query, same work");
+    // ...while the registry's cumulative counters hold both.
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter("engine.atomic_fetches"),
+        Some(2 * own.atomic_fetches as u64)
+    );
+    assert_eq!(
+        snap.counter("engine.prune.entries_pruned"),
+        Some(2 * own.entries_pruned as u64)
+    );
+}
+
+#[test]
 fn serve_histogram_count_matches_request_count() {
     let cfg = ServeConfig {
         shots: 20,
