@@ -533,7 +533,7 @@ fn check_serve_replicated(
             Some(Value::Bool(true)) => {}
             _ => gate.failures.push(format!(
                 "serve_replicated shards={shards} replicas={replicas}: run does not \
-                 attest digest equality with its plain sharded reference"
+                 attest digest equality with its single-replica reference"
             )),
         }
         for key in ["failover", "hedges"] {

@@ -23,7 +23,7 @@
 //! `1,2,4`; every count must reproduce the unsharded digest
 //! bit-identically) and implies the section when `serve` is requested.
 //! `--replicas` selects the replica counts of the `serve_replicated`
-//! sweep (default `2,3`; every topology must reproduce the plain sharded
+//! sweep (default `2,3`; every topology must reproduce the single-replica
 //! digest bit-identically) and likewise implies that section when
 //! `serve` is requested; the sweep and the `replica_chaos` section run at
 //! the first `--shards` count with survivors (≥ 2, default 2). `--churn`
@@ -55,9 +55,8 @@ use simvid_core::{list, rank_entries, ConjunctionSemantics, Engine, EngineConfig
 use simvid_obs::Registry;
 use simvid_picture::PictureSystem;
 use simvid_workload::casablanca;
-use simvid_workload::churn::ChurnConfig;
 use simvid_workload::serve::ServeConfig;
-use simvid_workload::shard::ShardedServeConfig;
+use simvid_workload::shard::CorpusConfig;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -321,16 +320,23 @@ fn serve_concurrent_bench(
     rows
 }
 
-fn sharded_smoke_config(smoke: bool) -> ShardedServeConfig {
-    if smoke {
-        ShardedServeConfig {
+/// The corpus workload of the sharded, replicated, churn and corpus chaos
+/// sections, at `shards` × `replicas`.
+fn corpus_config(smoke: bool, shards: u32, replicas: u32) -> CorpusConfig {
+    let base = if smoke {
+        CorpusConfig {
             videos: 6,
             shots: 24,
             requests: 30,
-            ..ShardedServeConfig::default()
+            ..CorpusConfig::default()
         }
     } else {
-        ShardedServeConfig::default()
+        CorpusConfig::default()
+    };
+    CorpusConfig {
+        shards,
+        replicas,
+        ..base
     }
 }
 
@@ -340,11 +346,10 @@ fn serve_sharded_bench(
     workers: Option<usize>,
     registry: &Arc<Registry>,
 ) -> Vec<simvid_bench::ServeShardedRow> {
-    let cfg = sharded_smoke_config(smoke);
     let workers = workers.unwrap_or(2).max(1);
     let rows: Vec<_> = shard_counts
         .iter()
-        .map(|&s| measure_serve_sharded(&cfg, s, workers, registry))
+        .map(|&s| measure_serve_sharded(&corpus_config(smoke, s, 1), workers, registry))
         .collect();
     progress!(
         "{}",
@@ -357,9 +362,9 @@ fn serve_sharded_bench(
     rows
 }
 
-/// The shard count the replicated sections run at: degrading (and
-/// surviving a shard kill) needs survivors, so prefer the first count ≥ 2
-/// from the requested sweep.
+/// The shard count the replicated and chaos sections run at: degrading
+/// (and surviving a shard kill) needs survivors, so prefer the first count
+/// ≥ 2 from the requested sweep.
 fn replicated_shards(shard_counts: &[u32]) -> u32 {
     shard_counts.iter().copied().find(|&s| s >= 2).unwrap_or(2)
 }
@@ -371,18 +376,17 @@ fn serve_replicated_bench(
     workers: Option<usize>,
     registry: &Arc<Registry>,
 ) -> Vec<simvid_bench::ServeReplicatedRow> {
-    let cfg = sharded_smoke_config(smoke);
     let shards = replicated_shards(shard_counts);
     let workers = workers.unwrap_or(2).max(1);
     let rows: Vec<_> = replica_counts
         .iter()
-        .map(|&r| measure_serve_replicated(&cfg, shards, r, workers, registry))
+        .map(|&r| measure_serve_replicated(&corpus_config(smoke, shards, r), workers, registry))
         .collect();
     progress!(
         "{}",
         format_serve_replicated_table(
             "Replicated serving: breaker-gated failover scatter-gather vs \
-             the plain sharded scatter, digest-checked bit-identical at \
+             the single-replica corpus, digest-checked bit-identical at \
              every replica count",
             &rows
         )
@@ -396,20 +400,19 @@ fn replica_chaos_bench(
     replica_counts: &[u32],
     registry: &Arc<Registry>,
 ) -> Vec<simvid_bench::ReplicaChaosRow> {
-    let cfg = sharded_smoke_config(smoke);
     let shards = replicated_shards(shard_counts);
     let replicas = replica_counts
         .iter()
         .copied()
         .find(|&r| r >= 2)
         .unwrap_or(2);
-    let rows = measure_replica_chaos(&cfg, shards, replicas, registry);
+    let rows = measure_replica_chaos(&corpus_config(smoke, shards, replicas), registry);
     progress!(
         "{}",
         format_replica_chaos_table(
             "Replica chaos: one dead replica is absorbed by failover \
              (bit-identical answers); a whole dead shard degrades exactly \
-             as the unreplicated store does",
+             as the single-replica corpus does",
             &rows
         )
     );
@@ -421,11 +424,11 @@ fn shard_chaos_bench(
     shard_counts: &[u32],
     registry: &Arc<Registry>,
 ) -> Vec<simvid_bench::ShardChaosRow> {
-    let cfg = sharded_smoke_config(smoke);
-    // Degrading needs survivors, so the chaos run wants at least 2 shards;
-    // prefer a count from the requested sweep.
-    let shards = shard_counts.iter().copied().find(|&s| s >= 2).unwrap_or(2);
-    let rows = vec![measure_shard_chaos(&cfg, shards, registry)];
+    let shards = replicated_shards(shard_counts);
+    let rows = vec![measure_shard_chaos(
+        &corpus_config(smoke, shards, 1),
+        registry,
+    )];
     progress!(
         "{}",
         format_shard_chaos_table(
@@ -444,30 +447,14 @@ fn serve_churn_bench(
     workers: Option<usize>,
     registry: &Arc<Registry>,
 ) -> Vec<simvid_bench::ServeChurnRow> {
-    let base = if smoke {
-        ChurnConfig {
-            videos: 6,
-            shots: 24,
-            requests: 30,
-            batches: 2,
-            ..ChurnConfig::default()
-        }
-    } else {
-        ChurnConfig::default()
-    };
-    let workers = workers.unwrap_or(2).max(1);
     let shards = shard_counts.first().copied().unwrap_or(2).max(1);
     let replicas = replica_counts.first().copied().unwrap_or(1).max(1);
-    let rows = vec![measure_serve_churn(
-        &ChurnConfig {
-            shards,
-            replicas,
-            workers,
-            queue_depth: 2 * workers,
-            ..base
-        },
-        registry,
-    )];
+    let cfg = CorpusConfig {
+        batches: if smoke { 2 } else { 3 },
+        ..corpus_config(smoke, shards, replicas)
+    };
+    let workers = workers.unwrap_or(2).max(1);
+    let rows = vec![measure_serve_churn(&cfg, workers, registry)];
     progress!(
         "{}",
         format_serve_churn_table(

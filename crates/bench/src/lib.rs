@@ -10,19 +10,15 @@ use simvid_core::{
 use simvid_htl::{parse, AtomicUnit, AttrFn, Formula, FormulaId};
 use simvid_model::{CorpusEpoch, VideoBuilder, VideoTree};
 use simvid_obs::Registry;
-use simvid_picture::{shard_of, ReplicaId, ReplicatedVideoDb, ShardedAnswer, ShardedVideoDb};
-use simvid_picture::{CacheConfig, LiveConfig, LiveVideoDb, PictureSystem, ScoringConfig};
+use simvid_picture::{
+    shard_of, CacheConfig, FaultTarget, LiveConfig, LivePin, LiveVideoDb, PictureSystem, ReplicaId,
+    ScoringConfig, ShardId, ShardedAnswer,
+};
 use simvid_relal::{translate, Database};
 use simvid_resilience::{FaultPlan, FaultyProvider, RetryPolicy};
-use simvid_workload::churn::{
-    build_churn, run_schedule_churn, run_schedule_churn_concurrent, ChurnConfig,
-};
 use simvid_workload::randomlists::{generate, ListGenConfig};
-use simvid_workload::replica::{run_schedule_replicated, run_schedule_replicated_concurrent};
-use simvid_workload::serve::{self, RequestLimits, RequestOutcome, ServeConfig};
-use simvid_workload::shard::{
-    build_sharded, run_schedule_sharded, run_schedule_sharded_concurrent, ShardedServeConfig,
-};
+use simvid_workload::serve::{self, ExecutorConfig, RequestLimits, RequestOutcome, ServeConfig};
+use simvid_workload::shard::{build_corpus, run_corpus, CorpusConfig, CorpusWorkload};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -974,67 +970,77 @@ impl ServeShardedRow {
     }
 }
 
-/// Runs the sharded serving workload at the given shard count through the
-/// sequential scatter loop, the concurrent executor fan-out, and the
-/// unsharded oracle, asserting request-for-request bit-identical
-/// rankings. The `shard.*` counters and per-shard timing histograms land
+/// A corpus over `w`'s base store with `cfg`'s topology, publishing into
+/// `registry`.
+fn corpus_db(w: &CorpusWorkload, cfg: &CorpusConfig, registry: &Arc<Registry>) -> LiveVideoDb {
+    LiveVideoDb::new(w.store.clone(), cfg.live_config(), Arc::clone(registry))
+}
+
+/// One pass over the pool fills the per-video atomic caches, as a
+/// steady-state server would be after its first few requests.
+fn prime(db: &LiveVideoDb, w: &CorpusWorkload) {
+    let pin = db.pin();
+    for q in &w.queries {
+        let _ = pin
+            .top_k(q, w.depth(), w.k)
+            .expect("warm-up corpus request evaluates");
+    }
+}
+
+/// The ranked hits of every answer of a run.
+fn ranked(answers: &[ShardedAnswer]) -> Vec<Vec<ShardHit>> {
+    answers.iter().map(|a| a.ranked().to_vec()).collect()
+}
+
+/// The schedule through the flat unsharded scan of a fault-free corpus:
+/// the ground truth every sharded answer is checked against.
+fn unsharded_truth(w: &CorpusWorkload, pin: &LivePin) -> Vec<Vec<ShardHit>> {
+    w.schedule
+        .iter()
+        .map(|&q| {
+            pin.top_k_unsharded(&w.queries[q], w.depth(), w.k)
+                .expect("unsharded request evaluates")
+        })
+        .collect()
+}
+
+/// Runs the corpus workload at `cfg.shards` shards through the inline
+/// scatter loop, the concurrent `(request, shard)` executor fan-out of
+/// `workers` threads, and the unsharded oracle, asserting
+/// request-for-request bit-identical rankings. The `shard.*` counters land
 /// in `registry`.
 ///
 /// # Panics
 ///
 /// Panics if any run's rankings diverge, or if any request fails — the
 /// workload is fault-free, so either indicates a coordinator bug (exactly
-/// what the CI shard gate exists to catch).
+/// what the CI corpus gate exists to catch).
 #[must_use]
 pub fn measure_serve_sharded(
-    cfg: &ShardedServeConfig,
-    shards: u32,
+    cfg: &CorpusConfig,
     workers: usize,
     registry: &Arc<Registry>,
 ) -> ServeShardedRow {
-    let w = build_sharded(cfg);
-    let depth = w.depth();
-    let db = ShardedVideoDb::partition(
-        &w.store,
-        shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::with_capacity(cfg.cache_capacity),
-        registry.clone(),
-    );
-    // Prime: one pass over the pool fills the per-video atomic caches, as
-    // a steady-state server would be after its first few requests.
-    for q in &w.queries {
-        let _ = db
-            .top_k(q, depth, w.k)
-            .expect("warm-up sharded request evaluates");
-    }
+    let w = build_corpus(cfg);
+    let db = corpus_db(&w, cfg, registry);
+    prime(&db, &w);
     let pruned_ctr = registry.counter("shard.candidates_pruned");
     let early_ctr = registry.counter("shard.early_terminated");
     let (pruned_before, early_before) = (pruned_ctr.get(), early_ctr.get());
     // Unsharded oracle: the flat scan the sharded paths must reproduce.
-    let (oracle, unsharded_elapsed) = time(|| {
-        w.schedule
-            .iter()
-            .map(|&q| {
-                db.top_k_unsharded(&w.queries[q], depth, w.k)
-                    .expect("unsharded request evaluates")
-            })
-            .collect::<Vec<_>>()
-    });
-    let seq = run_schedule_sharded(&w, &db);
-    let exec = serve::ExecutorConfig::with_workers(workers);
-    let conc = run_schedule_sharded_concurrent(&w, &db, &exec);
+    let (oracle, unsharded_elapsed) = time(|| unsharded_truth(&w, &db.pin()));
+    let seq = run_corpus(&w, &db, &ExecutorConfig::with_workers(0));
+    let exec = ExecutorConfig::with_workers(workers);
+    let conc = run_corpus(&w, &db, &exec);
     assert_eq!(seq.complete(), w.schedule.len(), "fault-free run degraded");
-    let seq_ranked: Vec<Vec<ShardHit>> = seq.answers.iter().map(|a| a.ranked().to_vec()).collect();
-    let conc_ranked: Vec<Vec<ShardHit>> =
-        conc.answers.iter().map(|a| a.ranked().to_vec()).collect();
+    let seq_ranked = ranked(&seq.answers);
     assert_eq!(
         seq_ranked, oracle,
         "sharded retrieval must be bit-identical to the unsharded scan"
     );
     assert_eq!(
-        conc_ranked, seq_ranked,
+        ranked(&conc.answers),
+        seq_ranked,
         "concurrent fan-out must be bit-identical to the sequential scatter"
     );
     ServeShardedRow {
@@ -1042,7 +1048,7 @@ pub fn measure_serve_sharded(
         shots: cfg.shots,
         requests: w.schedule.len(),
         k: w.k,
-        shards,
+        shards: cfg.shards,
         workers: exec.workers,
         sequential: seq.elapsed,
         concurrent: conc.elapsed,
@@ -1141,10 +1147,68 @@ pub struct ShardChaosRow {
     pub elapsed: Duration,
 }
 
-/// Runs the sharded schedule with one shard forced to fail (per-call
+/// The fault world of the chaos sections: every provider call fails, and
+/// gives up after two attempts.
+fn always_fail() -> (FaultPlan, RetryPolicy) {
+    let plan = FaultPlan {
+        seed: 0x5AD_C4A05,
+        error_rate: 1.0,
+        panic_rate: 0.0,
+        latency_rate: 0.0,
+        latency: Duration::ZERO,
+    };
+    let policy = RetryPolicy {
+        max_attempts: 2,
+        ..RetryPolicy::default()
+    };
+    (plan, policy)
+}
+
+/// The first shard holding at least one video: the chaos victim.
+fn victim_shard(pin: &LivePin) -> ShardId {
+    (0..pin.shard_count())
+        .map(ShardId)
+        .find(|&s| !pin.videos_in(s).is_empty())
+        .expect("corpus is non-empty")
+}
+
+/// Checks the degraded answers of a chaos run against ground truth: every
+/// truth hit is either present verbatim, or belongs to the victim shard and
+/// is dominated by the answer's `missing_bound`. Returns whether all were
+/// sound and the largest finite bound carried.
+fn degraded_bounds(
+    answers: &[ShardedAnswer],
+    truth: &[Vec<ShardHit>],
+    shards: u32,
+    victim: ShardId,
+) -> (bool, Option<f64>) {
+    let mut sound = true;
+    let mut largest: Option<f64> = None;
+    for (answer, truth_ranked) in answers.iter().zip(truth) {
+        let ShardedAnswer::Degraded(d) = answer else {
+            continue;
+        };
+        if d.missing_bound.is_finite() {
+            largest = Some(largest.map_or(d.missing_bound, |m| m.max(d.missing_bound)));
+        }
+        for hit in truth_ranked {
+            let present = d.ranked.iter().any(|h| {
+                h.video == hit.video
+                    && h.pos == hit.pos
+                    && h.sim.act.to_bits() == hit.sim.act.to_bits()
+            });
+            let excused =
+                shard_of(hit.video, shards) == victim && hit.sim.act <= d.missing_bound + 1e-6;
+            sound &= present || excused;
+        }
+    }
+    (sound, largest)
+}
+
+/// Runs the corpus schedule with one shard forced to fail (per-call
 /// transient-error probability 1.0 — every provider call on the victim
-/// gives up after retries) and checks the degraded-shard contract request
-/// by request:
+/// gives up after retries, until its breaker opens and skips it) and
+/// checks the degraded-shard contract request by request:
 ///
 /// * the schedule never aborts — every request resolves;
 /// * every request degrades (the victim holds at least one video and
@@ -1153,100 +1217,39 @@ pub struct ShardChaosRow {
 ///   top-`k` hit either appears verbatim, or belongs to the victim shard
 ///   and is dominated by the answer's `missing_bound`.
 ///
-/// The victim is the first shard with at least one video. `shard.*` and
-/// `resilience.*` counters land in `registry`.
+/// The victim is the first shard with at least one video. `shard.*`,
+/// `replica.*` and `resilience.*` counters land in `registry`.
 #[must_use]
-pub fn measure_shard_chaos(
-    cfg: &ShardedServeConfig,
-    shards: u32,
-    registry: &Arc<Registry>,
-) -> ShardChaosRow {
-    let w = build_sharded(cfg);
-    let depth = w.depth();
-    // Ground truth: a pristine partition of the same corpus, fault-free.
-    let truth_db = ShardedVideoDb::partition(
-        &w.store,
-        shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::with_capacity(cfg.cache_capacity),
-        Arc::new(Registry::new()),
+pub fn measure_shard_chaos(cfg: &CorpusConfig, registry: &Arc<Registry>) -> ShardChaosRow {
+    let w = build_corpus(cfg);
+    let shards = cfg.shards;
+    // Ground truth: a pristine corpus, fault-free, on a scratch registry.
+    let pristine = corpus_db(&w, cfg, &Arc::new(Registry::new())).pin();
+    let truth = unsharded_truth(&w, &pristine);
+    let victim = victim_shard(&pristine);
+    let victim_videos = pristine.videos_in(victim).len();
+    let (plan, policy) = always_fail();
+    let db = corpus_db(&w, cfg, registry).with_read_faults(
+        plan,
+        policy,
+        FaultTarget::Shard(victim, None),
     );
-    let truth: Vec<Vec<ShardHit>> = w
-        .schedule
-        .iter()
-        .map(|&q| {
-            truth_db
-                .top_k_unsharded(&w.queries[q], depth, w.k)
-                .expect("ground-truth request evaluates")
-        })
-        .collect();
-    // Chaos partition: wrap every provider, always-fail plan on the
-    // victim, quiet plan on the survivors.
-    let plain = ShardedVideoDb::partition(
-        &w.store,
-        shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::with_capacity(cfg.cache_capacity),
-        registry.clone(),
-    );
-    let victim = plain
-        .shard_ids()
-        .find(|&s| !plain.videos_in(s).is_empty())
-        .expect("corpus is non-empty");
-    let victim_videos = plain.videos_in(victim).len();
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
-    let db = plain.map_providers(|sid, _video, sys| {
-        let plan = if sid == victim {
-            FaultPlan {
-                seed: 0x5AD_C4A05,
-                error_rate: 1.0,
-                panic_rate: 0.0,
-                latency_rate: 0.0,
-                latency: Duration::ZERO,
-            }
-        } else {
-            FaultPlan::quiet(0x5AD_C4A05)
-        };
-        FaultyProvider::with_registry(sys, plan, policy, registry)
-    });
-    let run = run_schedule_sharded(&w, &db);
+    let run = run_corpus(&w, &db, &ExecutorConfig::with_workers(0));
     assert_eq!(run.answers.len(), w.schedule.len(), "schedule never aborts");
     let mut failed_per_request = 0usize;
     let mut failed_shard_is_victim = true;
-    let mut bounds_sound = true;
-    let mut missing_bound: Option<f64> = None;
-    for (answer, truth_ranked) in run.answers.iter().zip(&truth) {
+    for answer in &run.answers {
         match answer {
-            ShardedAnswer::Complete(_) => {
-                // The victim answers nothing, so a complete answer means
-                // the contract is broken unless the victim was empty.
-                failed_shard_is_victim &= victim_videos == 0;
-            }
+            // The victim answers nothing, so a complete answer means the
+            // contract is broken unless the victim was empty.
+            ShardedAnswer::Complete(_) => failed_shard_is_victim &= victim_videos == 0,
             ShardedAnswer::Degraded(d) => {
                 failed_per_request = failed_per_request.max(d.failed.len());
-                failed_shard_is_victim &= d.failed.len() == 1 && d.failed[0].0 .0 == victim.0;
-                if d.missing_bound.is_finite() {
-                    missing_bound =
-                        Some(missing_bound.map_or(d.missing_bound, |m| m.max(d.missing_bound)));
-                }
-                for hit in truth_ranked {
-                    let present = d.ranked.iter().any(|h| {
-                        h.video == hit.video
-                            && h.pos == hit.pos
-                            && h.sim.act.to_bits() == hit.sim.act.to_bits()
-                    });
-                    let excused = shard_of(hit.video, shards) == victim
-                        && hit.sim.act <= d.missing_bound + 1e-6;
-                    bounds_sound &= present || excused;
-                }
+                failed_shard_is_victim &= d.failed.len() == 1 && d.failed[0].0 == victim;
             }
         }
     }
+    let (bounds_sound, missing_bound) = degraded_bounds(&run.answers, &truth, shards, victim);
     let snap = registry.snapshot();
     ShardChaosRow {
         videos: cfg.videos,
@@ -1314,7 +1317,7 @@ pub fn format_shard_chaos_table(title: &str, rows: &[ShardChaosRow]) -> String {
 /// One measurement of the replicated scatter-gather serving path at a
 /// fixed `(shards, replicas)` topology: the schedule through the
 /// sequential failover loop and through the concurrent `(request, shard)`
-/// executor fan-out, both asserted bit-identical to the plain sharded
+/// executor fan-out, both asserted bit-identical to the single-replica
 /// scatter over the same corpus.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeReplicatedRow {
@@ -1346,78 +1349,53 @@ pub struct ServeReplicatedRow {
     /// bench gate can double-check the artifact).
     pub digest_matches_sharded: bool,
     /// [`sharded_results_digest`] of the per-request rankings; equal to
-    /// the plain sharded digest for every replica count.
+    /// the single-replica digest for every replica count.
     pub results_digest: String,
 }
 
-/// Runs the sharded serving workload through the `R`-way replicated store
-/// — sequentially and through the concurrent executor fan-out — and
-/// asserts both bit-identical to the plain (single-replica) sharded
-/// scatter. Replication is a pure availability construct: with no faults
-/// injected, the leading failover candidate serves every read and the
-/// rankings cannot move. The `replica.*` breaker gauges and counters land
-/// in `registry`.
+/// Runs the corpus workload at `cfg.replicas` replicas per video — inline
+/// and through the concurrent executor fan-out of `workers` threads — and
+/// asserts both bit-identical to the single-replica corpus. Replication is
+/// a pure availability construct: with no faults injected, the leading
+/// failover candidate serves every read and the rankings cannot move. The
+/// `replica.*` breaker gauges and counters land in `registry`.
 ///
 /// # Panics
 ///
-/// Panics if any run's rankings diverge, any request degrades, or any
-/// fault-free read fails over — all coordinator bugs the CI replica gate
-/// exists to catch.
+/// Panics if any run's rankings diverge or any request degrades — both
+/// coordinator bugs the CI corpus gate exists to catch.
 #[must_use]
 pub fn measure_serve_replicated(
-    cfg: &ShardedServeConfig,
-    shards: u32,
-    replicas: u32,
+    cfg: &CorpusConfig,
     workers: usize,
     registry: &Arc<Registry>,
 ) -> ServeReplicatedRow {
-    let w = build_sharded(cfg);
-    let depth = w.depth();
-    // The plain sharded reference the replicated store must reproduce.
-    let reference_db = ShardedVideoDb::partition(
-        &w.store,
-        shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::with_capacity(cfg.cache_capacity),
-        Arc::new(Registry::new()),
+    let w = build_corpus(cfg);
+    // The single-replica reference the replicated corpus must reproduce.
+    let single = CorpusConfig {
+        replicas: 1,
+        ..cfg.clone()
+    };
+    let reference = run_corpus(
+        &w,
+        &corpus_db(&w, &single, &Arc::new(Registry::new())),
+        &ExecutorConfig::with_workers(0),
     );
-    let reference = run_schedule_sharded(&w, &reference_db);
-    let db = ReplicatedVideoDb::partition(
-        &w.store,
-        shards,
-        replicas,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::with_capacity(cfg.cache_capacity),
-        registry.clone(),
-    );
-    // Prime: one pass over the pool fills the per-replica atomic caches,
-    // as a steady-state server would be after its first few requests.
-    for q in &w.queries {
-        let _ = db
-            .top_k_replicated(0, q, depth, w.k)
-            .expect("warm-up replicated request evaluates");
-    }
-    let seq = run_schedule_replicated(&w, &db, |_| {});
-    let exec = serve::ExecutorConfig::with_workers(workers);
-    let conc = run_schedule_replicated_concurrent(&w, &db, &exec, |_| {});
+    let db = corpus_db(&w, cfg, registry);
+    prime(&db, &w);
+    let seq = run_corpus(&w, &db, &ExecutorConfig::with_workers(0));
+    let exec = ExecutorConfig::with_workers(workers);
+    let conc = run_corpus(&w, &db, &exec);
     assert_eq!(seq.complete(), w.schedule.len(), "fault-free run degraded");
-    assert_eq!(seq.failovers(), 0, "fault-free reads never fail over");
-    let seq_ranked: Vec<Vec<ShardHit>> = seq.answers.iter().map(|a| a.ranked().to_vec()).collect();
-    let conc_ranked: Vec<Vec<ShardHit>> =
-        conc.answers.iter().map(|a| a.ranked().to_vec()).collect();
-    let reference_ranked: Vec<Vec<ShardHit>> = reference
-        .answers
-        .iter()
-        .map(|a| a.ranked().to_vec())
-        .collect();
+    let seq_ranked = ranked(&seq.answers);
     assert_eq!(
-        seq_ranked, reference_ranked,
-        "replicated retrieval must be bit-identical to the plain sharded scatter"
+        seq_ranked,
+        ranked(&reference.answers),
+        "replicated retrieval must be bit-identical to the single-replica corpus"
     );
     assert_eq!(
-        conc_ranked, seq_ranked,
+        ranked(&conc.answers),
+        seq_ranked,
         "concurrent fan-out must be bit-identical to the sequential scatter"
     );
     let snap = registry.snapshot();
@@ -1426,8 +1404,8 @@ pub fn measure_serve_replicated(
         shots: cfg.shots,
         requests: w.schedule.len(),
         k: w.k,
-        shards,
-        replicas,
+        shards: cfg.shards,
+        replicas: cfg.replicas,
         workers: exec.workers,
         sequential: seq.elapsed,
         concurrent: conc.elapsed,
@@ -1513,7 +1491,7 @@ pub struct ReplicaChaosRow {
     /// whole-shard kill records `false` — it degrades by design).
     pub digest_matches_fault_free: bool,
     /// Whether every answer — kind, ranking, and `missing_bound` bits —
-    /// matched the plain sharded store under the same fault world (the
+    /// matched the single-replica corpus under the same fault world (the
     /// whole-shard-kill contract; vacuously true for the replica kill,
     /// which never degrades).
     pub matches_sharded_degraded: bool,
@@ -1533,108 +1511,62 @@ pub struct ReplicaChaosRow {
 ///
 /// * **`"replica"`** — replica 0 of the victim shard fails every call.
 ///   Failover must absorb it completely: zero degraded answers, rankings
-///   bit-identical to a fault-free sharded run, and `failover > 0`
-///   (the epoch rotation makes the dead replica lead some reads).
+///   bit-identical to a fault-free run, and `failover > 0` (the
+///   query-keyed rotation makes the dead replica lead some reads).
 /// * **`"shard"`** — every replica of the victim fails. Every request
-///   must degrade exactly as the plain (single-replica) sharded store
-///   does under the same fault world: same surviving rankings, same
-///   `missing_bound` bits — replication exhausted collapses to PR 8's
-///   sound degraded answer, nothing weaker.
+///   must degrade exactly as the single-replica corpus does under the same
+///   fault world: same surviving rankings, same `missing_bound` bits —
+///   replication exhausted collapses to the one-replica sound degraded
+///   answer, nothing weaker.
 ///
 /// The victim is the first shard with at least one video. `replica.*`
 /// and `resilience.*` counters land in `registry` (the row records
 /// per-scenario deltas).
 #[must_use]
-pub fn measure_replica_chaos(
-    cfg: &ShardedServeConfig,
-    shards: u32,
-    replicas: u32,
-    registry: &Arc<Registry>,
-) -> Vec<ReplicaChaosRow> {
-    let w = build_sharded(cfg);
-    let depth = w.depth();
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
+pub fn measure_replica_chaos(cfg: &CorpusConfig, registry: &Arc<Registry>) -> Vec<ReplicaChaosRow> {
+    let w = build_corpus(cfg);
+    let shards = cfg.shards;
+    let (plan, policy) = always_fail();
+    let inline = ExecutorConfig::with_workers(0);
+    let single = CorpusConfig {
+        replicas: 1,
+        ..cfg.clone()
     };
-    let always_fail = FaultPlan {
-        seed: 0x5AD_C4A05,
-        error_rate: 1.0,
-        panic_rate: 0.0,
-        latency_rate: 0.0,
-        latency: Duration::ZERO,
-    };
-    let quiet = FaultPlan::quiet(0x5AD_C4A05);
-    // Fault-free sharded reference: the rankings the replica kill must
-    // reproduce, the ground truth the shard kill is bounded against.
-    let fault_free_db = ShardedVideoDb::partition(
-        &w.store,
-        shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::with_capacity(cfg.cache_capacity),
-        Arc::new(Registry::new()),
-    );
-    let victim = fault_free_db
-        .shard_ids()
-        .find(|&s| !fault_free_db.videos_in(s).is_empty())
-        .expect("corpus is non-empty");
-    let fault_free = run_schedule_sharded(&w, &fault_free_db);
-    let fault_free_ranked: Vec<Vec<ShardHit>> = fault_free
-        .answers
-        .iter()
-        .map(|a| a.ranked().to_vec())
-        .collect();
-    let fault_free_digest = sharded_results_digest(&fault_free_ranked);
-    let truth: Vec<Vec<ShardHit>> = w
-        .schedule
-        .iter()
-        .map(|&q| {
-            fault_free_db
-                .top_k_unsharded(&w.queries[q], depth, w.k)
-                .expect("ground-truth request evaluates")
-        })
-        .collect();
+    // Fault-free single-replica reference: the rankings the replica kill
+    // must reproduce, the ground truth the shard kill is bounded against.
+    let fault_free_db = corpus_db(&w, &single, &Arc::new(Registry::new()));
+    let victim = victim_shard(&fault_free_db.pin());
+    let fault_free_digest =
+        sharded_results_digest(&ranked(&run_corpus(&w, &fault_free_db, &inline).answers));
+    let truth = unsharded_truth(&w, &fault_free_db.pin());
     let failover_ctr = registry.counter("replica.failover");
     let retries_ctr = registry.counter("resilience.retries");
     let giveups_ctr = registry.counter("resilience.giveups");
     let mut rows = Vec::with_capacity(2);
 
     // Scenario "replica": one dead replica, failover absorbs it.
-    let db = ReplicatedVideoDb::partition(
-        &w.store,
-        shards,
-        replicas,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::with_capacity(cfg.cache_capacity),
-        registry.clone(),
-    )
-    .map_providers(|rid, sid, _video, sys| {
-        let plan = if rid == ReplicaId(0) && sid == victim {
-            always_fail
-        } else {
-            quiet
-        };
-        FaultyProvider::with_registry(sys, plan, policy, registry)
-    });
+    let db = corpus_db(&w, cfg, registry).with_read_faults(
+        plan,
+        policy,
+        FaultTarget::Shard(victim, Some(ReplicaId(0))),
+    );
     let (f0, r0, g0) = (failover_ctr.get(), retries_ctr.get(), giveups_ctr.get());
-    let run = run_schedule_replicated(&w, &db, |_| {});
-    let ranked: Vec<Vec<ShardHit>> = run.answers.iter().map(|a| a.ranked().to_vec()).collect();
+    let run = run_corpus(&w, &db, &inline);
     rows.push(ReplicaChaosRow {
         scenario: "replica".to_string(),
         videos: cfg.videos,
         requests: run.answers.len(),
         k: w.k,
         shards,
-        replicas,
+        replicas: cfg.replicas,
         victim_shard: victim.0,
         ok: run.complete(),
         degraded: run.degraded(),
         failover: failover_ctr.get() - f0,
         retries: retries_ctr.get() - r0,
         giveups: giveups_ctr.get() - g0,
-        digest_matches_fault_free: sharded_results_digest(&ranked) == fault_free_digest,
+        digest_matches_fault_free: sharded_results_digest(&ranked(&run.answers))
+            == fault_free_digest,
         matches_sharded_degraded: true,
         bounds_sound: true,
         missing_bound: None,
@@ -1642,73 +1574,40 @@ pub fn measure_replica_chaos(
     });
 
     // Scenario "shard": the whole replica set of the victim dies. The
-    // PR 8 reference: the plain sharded store under the same fault world.
-    let scratch = Arc::new(Registry::new());
-    let sharded_ref = ShardedVideoDb::partition(
-        &w.store,
-        shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::with_capacity(cfg.cache_capacity),
-        scratch.clone(),
-    )
-    .map_providers(|sid, _video, sys| {
-        let plan = if sid == victim { always_fail } else { quiet };
-        FaultyProvider::with_registry(sys, plan, policy, &scratch)
-    });
-    let reference = run_schedule_sharded(&w, &sharded_ref);
-    let db = ReplicatedVideoDb::partition(
-        &w.store,
-        shards,
-        replicas,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::with_capacity(cfg.cache_capacity),
-        registry.clone(),
-    )
-    .map_providers(|_rid, sid, _video, sys| {
-        let plan = if sid == victim { always_fail } else { quiet };
-        FaultyProvider::with_registry(sys, plan, policy, registry)
-    });
+    // reference: the single-replica corpus under the same fault world.
+    let whole_shard = FaultTarget::Shard(victim, None);
+    let reference = run_corpus(
+        &w,
+        &corpus_db(&w, &single, &Arc::new(Registry::new())).with_read_faults(
+            plan,
+            policy,
+            whole_shard,
+        ),
+        &inline,
+    );
+    let db = corpus_db(&w, cfg, registry).with_read_faults(plan, policy, whole_shard);
     let (f0, r0, g0) = (failover_ctr.get(), retries_ctr.get(), giveups_ctr.get());
-    let run = run_schedule_replicated(&w, &db, |_| {});
+    let run = run_corpus(&w, &db, &inline);
     let mut matches_sharded_degraded = run.answers.len() == reference.answers.len();
-    let mut bounds_sound = true;
-    let mut missing_bound: Option<f64> = None;
-    for ((answer, reference_answer), truth_ranked) in
-        run.answers.iter().zip(&reference.answers).zip(&truth)
-    {
+    for (answer, reference_answer) in run.answers.iter().zip(&reference.answers) {
         matches_sharded_degraded &= answer.ranked() == reference_answer.ranked();
         match (answer, reference_answer) {
             (ShardedAnswer::Complete(_), ShardedAnswer::Complete(_)) => {}
             (ShardedAnswer::Degraded(d), ShardedAnswer::Degraded(e)) => {
                 matches_sharded_degraded &= d.missing_bound.to_bits() == e.missing_bound.to_bits()
                     && d.failed.len() == e.failed.len();
-                if d.missing_bound.is_finite() {
-                    missing_bound =
-                        Some(missing_bound.map_or(d.missing_bound, |m| m.max(d.missing_bound)));
-                }
-                for hit in truth_ranked {
-                    let present = d.ranked.iter().any(|h| {
-                        h.video == hit.video
-                            && h.pos == hit.pos
-                            && h.sim.act.to_bits() == hit.sim.act.to_bits()
-                    });
-                    let excused = shard_of(hit.video, shards) == victim
-                        && hit.sim.act <= d.missing_bound + 1e-6;
-                    bounds_sound &= present || excused;
-                }
             }
             _ => matches_sharded_degraded = false,
         }
     }
+    let (bounds_sound, missing_bound) = degraded_bounds(&run.answers, &truth, shards, victim);
     rows.push(ReplicaChaosRow {
         scenario: "shard".to_string(),
         videos: cfg.videos,
         requests: run.answers.len(),
         k: w.k,
         shards,
-        replicas,
+        replicas: cfg.replicas,
         victim_shard: victim.0,
         ok: run.complete(),
         degraded: run.degraded(),
@@ -2145,8 +2044,8 @@ pub fn churn_results_digest(results: &[(u64, Vec<ShardHit>)]) -> String {
 }
 
 /// One measurement of the live-ingestion serving path: a Zipf schedule
-/// interleaved with mutation batches through [`run_schedule_churn`] and
-/// its concurrent twin, oracle-checked request-for-request against a
+/// interleaved with mutation batches through [`run_corpus`], inline and
+/// concurrently, oracle-checked request-for-request against a
 /// from-scratch rebuild at every served epoch, with the warm-cache
 /// retention of each incremental invalidation recorded.
 #[derive(Debug, Clone, Serialize)]
@@ -2210,14 +2109,14 @@ impl ServeChurnRow {
     }
 }
 
-/// Runs the churn workload through the sequential runner and the
-/// concurrent executor, asserting three bit-identity contracts: every
-/// request matches a **from-scratch rebuild** of the corpus replayed to
-/// its served epoch; the concurrent runner matches the sequential runner
-/// epoch-for-epoch; and the mutation-free prefix matches a frozen
-/// partition of the untouched base store. The
-/// `cache.invalidation.{evicted,retained}` deltas of the sequential run
-/// land in the row.
+/// Runs the churn workload (`cfg.batches > 0`) inline and through the
+/// concurrent executor of `workers` threads, asserting three bit-identity
+/// contracts: every request matches a **from-scratch rebuild** of the
+/// corpus replayed to its served epoch; the concurrent run matches the
+/// inline run epoch-for-epoch; and the mutation-free prefix matches a
+/// frozen corpus over the untouched base store. The
+/// `cache.invalidation.{evicted,retained}` deltas of the inline run land
+/// in the row.
 ///
 /// # Panics
 ///
@@ -2225,95 +2124,67 @@ impl ServeChurnRow {
 /// fault-free, so either indicates an invalidation bug (exactly what the
 /// CI churn gate exists to catch).
 #[must_use]
-pub fn measure_serve_churn(cfg: &ChurnConfig, registry: &Arc<Registry>) -> ServeChurnRow {
-    let w = build_churn(cfg);
+pub fn measure_serve_churn(
+    cfg: &CorpusConfig,
+    workers: usize,
+    registry: &Arc<Registry>,
+) -> ServeChurnRow {
+    let w = build_corpus(cfg);
     let depth = w.depth();
-    let live_cfg = LiveConfig {
-        shards: cfg.shards,
-        replicas: cfg.replicas,
-        scoring: ScoringConfig::default(),
-        engine: EngineConfig::default(),
-        cache: CacheConfig::with_capacity(cfg.cache_capacity),
-    };
-    let db = LiveVideoDb::new(w.store.clone(), live_cfg.clone(), registry.clone());
-    // Prime: one pass over the pool warms the epoch-0 caches, so the
-    // retention counters measure a steady-state server, not a cold one.
-    {
-        let pin = db.pin();
-        for q in &w.queries {
-            let _ = pin
-                .top_k(q, depth, w.k)
-                .expect("warm-up churn request evaluates");
-        }
-    }
+    let db = corpus_db(&w, cfg, registry);
+    // Prime: the retention counters measure a steady-state server, not a
+    // cold one.
+    prime(&db, &w);
     let evicted_ctr = registry.counter("cache.invalidation.evicted");
     let retained_ctr = registry.counter("cache.invalidation.retained");
     let (evicted_before, retained_before) = (evicted_ctr.get(), retained_ctr.get());
-    let seq = run_schedule_churn(&w, &db);
+    let seq = run_corpus(&w, &db, &ExecutorConfig::with_workers(0));
     let evicted = evicted_ctr.get() - evicted_before;
     let retained = retained_ctr.get() - retained_before;
     assert_eq!(seq.complete(), w.schedule.len(), "fault-free run degraded");
     let seq_pairs: Vec<(u64, Vec<ShardHit>)> = seq
-        .answers
+        .epochs
         .iter()
-        .map(|(e, a)| (*e, a.ranked().to_vec()))
+        .copied()
+        .zip(ranked(&seq.answers))
         .collect();
 
-    // Oracle: a from-scratch rebuild (frozen partition of the replayed
-    // store) at every epoch the schedule served, on a scratch registry so
-    // the serving counters stay attributable to the live path.
+    // Oracle: a from-scratch rebuild (a 1-shard corpus over the replayed
+    // store, scanned flat) at every epoch the schedule served, on a
+    // scratch registry so the serving counters stay attributable to the
+    // live path.
     let scratch = Arc::new(Registry::new());
-    let replayed: Vec<(u64, _)> = seq
-        .epochs()
+    let rebuilt: Vec<(u64, LivePin)> = seq
+        .served_epochs()
         .into_iter()
-        .map(|e| (e, db.replay_to(CorpusEpoch(e))))
-        .collect();
-    let frozen: Vec<(u64, _)> = replayed
-        .iter()
-        .map(|(e, store)| {
-            (
-                *e,
-                ShardedVideoDb::partition(
-                    store,
-                    cfg.shards,
-                    &ScoringConfig::default(),
-                    EngineConfig::default(),
-                    CacheConfig::with_capacity(cfg.cache_capacity),
-                    scratch.clone(),
-                ),
-            )
+        .map(|e| {
+            let store = db.replay_to(CorpusEpoch(e));
+            let oracle = LiveVideoDb::new(store, LiveConfig::default(), Arc::clone(&scratch));
+            (e, oracle.pin())
         })
         .collect();
     for (r, (epoch, hits)) in seq_pairs.iter().enumerate() {
-        let oracle = frozen
+        let oracle = rebuilt
             .iter()
             .find(|(e, _)| e == epoch)
             .expect("every served epoch has a rebuild")
             .1
-            .top_k(&w.queries[w.schedule[r]], depth, w.k)
+            .top_k_unsharded(&w.queries[w.schedule[r]], depth, w.k)
             .expect("rebuild oracle evaluates");
         assert_eq!(
-            hits.as_slice(),
-            oracle.ranked(),
+            hits, &oracle,
             "request {r} at epoch {epoch} must match a from-scratch rebuild"
         );
     }
 
-    // The mutation-free prefix against a frozen partition of the base
-    // store that never saw a mutation.
+    // The mutation-free prefix against a frozen corpus over the base
+    // store that never applies a batch.
     let prefix = w.mutation_free_prefix();
-    let frozen_base = ShardedVideoDb::partition(
-        &w.store,
-        cfg.shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::with_capacity(cfg.cache_capacity),
-        scratch.clone(),
-    );
+    let frozen = corpus_db(&w, cfg, &scratch).pin();
     let prefix_ranked: Vec<Vec<ShardHit>> = w.schedule[..prefix]
         .iter()
         .map(|&q| {
-            frozen_base
+            frozen
                 .top_k(&w.queries[q], depth, w.k)
                 .expect("frozen prefix request evaluates")
                 .ranked()
@@ -2329,27 +2200,13 @@ pub fn measure_serve_churn(cfg: &ChurnConfig, registry: &Arc<Registry>) -> Serve
 
     // Concurrent twin on its own live store (same base, fresh caches and
     // registry), bit-identical at the configured worker count.
-    let conc_db = LiveVideoDb::new(w.store.clone(), live_cfg, Arc::new(Registry::new()));
-    {
-        let pin = conc_db.pin();
-        for q in &w.queries {
-            let _ = pin
-                .top_k(q, depth, w.k)
-                .expect("warm-up churn request evaluates");
-        }
-    }
-    let exec = serve::ExecutorConfig {
-        workers: cfg.workers.max(1),
-        queue_depth: cfg.queue_depth.max(1),
-    };
-    let conc = run_schedule_churn_concurrent(&w, &conc_db, &exec);
-    let conc_pairs: Vec<(u64, Vec<ShardHit>)> = conc
-        .answers
-        .iter()
-        .map(|(e, a)| (*e, a.ranked().to_vec()))
-        .collect();
+    let conc_db = corpus_db(&w, cfg, &Arc::new(Registry::new()));
+    prime(&conc_db, &w);
+    let exec = ExecutorConfig::with_workers(workers.max(1));
+    let conc = run_corpus(&w, &conc_db, &exec);
     assert_eq!(
-        conc_pairs, seq_pairs,
+        (conc.epochs, ranked(&conc.answers)),
+        (seq.epochs.clone(), ranked(&seq.answers)),
         "concurrent churn must be bit-identical to the sequential runner"
     );
 
@@ -2362,7 +2219,7 @@ pub fn measure_serve_churn(cfg: &ChurnConfig, registry: &Arc<Registry>) -> Serve
         replicas: cfg.replicas,
         batches: w.batches.len(),
         workers: exec.workers,
-        epochs: seq.epochs().len(),
+        epochs: seq.served_epochs().len(),
         sequential: seq.elapsed,
         concurrent: conc.elapsed,
         evicted,
@@ -2476,17 +2333,15 @@ mod tests {
 
     #[test]
     fn churn_contract_holds_on_a_small_schedule() {
-        let cfg = ChurnConfig {
+        let cfg = CorpusConfig {
             videos: 4,
             shots: 10,
             requests: 12,
             batches: 2,
-            workers: 2,
-            queue_depth: 4,
-            ..ChurnConfig::default()
+            ..CorpusConfig::default()
         };
         let registry = Arc::new(Registry::new());
-        let row = measure_serve_churn(&cfg, &registry);
+        let row = measure_serve_churn(&cfg, 2, &registry);
         assert!(row.epochs > 1, "the schedule must cross a mutation");
         assert!(row.retained > 0, "untouched videos must keep warm caches");
         assert!(row.digest_matches_rebuild);

@@ -113,6 +113,38 @@ pub trait AtomicProvider: Sync {
     }
 }
 
+/// A borrowed provider is a provider: decorators such as a fault-injection
+/// wrapper can then sit over a provider they do not own.
+impl<P: AtomicProvider + ?Sized> AtomicProvider for &P {
+    fn atomic_table(&self, unit: &AtomicUnit, ctx: SeqContext) -> Arc<SimilarityTable> {
+        (**self).atomic_table(unit, ctx)
+    }
+
+    fn try_atomic_table(
+        &self,
+        unit: &AtomicUnit,
+        ctx: SeqContext,
+    ) -> Result<Arc<SimilarityTable>, ProviderError> {
+        (**self).try_atomic_table(unit, ctx)
+    }
+
+    fn atomic_max(&self, unit: &AtomicUnit) -> f64 {
+        (**self).atomic_max(unit)
+    }
+
+    fn value_table(&self, func: &AttrFn, ctx: SeqContext) -> ValueTable {
+        (**self).value_table(func, ctx)
+    }
+
+    fn try_value_table(&self, func: &AttrFn, ctx: SeqContext) -> Result<ValueTable, ProviderError> {
+        (**self).try_value_table(func, ctx)
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        (**self).cache_stats()
+    }
+}
+
 /// Counters of a cross-query atomic-result cache (see
 /// [`AtomicProvider::cache_stats`]).
 ///

@@ -72,6 +72,14 @@ impl FormulaId {
     pub fn raw(self) -> u64 {
         self.0
     }
+
+    /// The structural hash [`FormulaId::of`] keys its table with (FNV-1a
+    /// over a canonical traversal). Unlike the id, it does not depend on
+    /// interning order, so it is stable across runs and processes.
+    #[must_use]
+    pub fn stable_hash(f: &Formula) -> u64 {
+        structural_hash(f)
+    }
 }
 
 struct InternTable {

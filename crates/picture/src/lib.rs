@@ -63,6 +63,6 @@ pub use index::LevelIndex;
 pub use live::{ApplyError, LiveConfig, LivePin, LiveVideoDb};
 pub use provider::PictureSystem;
 pub use query::{AtomicQuery, Conjunct, ConjunctKind, QueryError};
-pub use replica::{ReplicaId, ReplicaTrace, ReplicatedVideoDb};
-pub use shard::{shard_of, ShardId, ShardedAnswer, ShardedDegraded, ShardedTopK, ShardedVideoDb};
+pub use replica::{FaultTarget, ReplicaId};
+pub use shard::{shard_of, PreparedQuery, ShardId, ShardedAnswer, ShardedDegraded, ShardedTopK};
 pub use video_db::{Hit, QueryLevel, VideoDatabase};

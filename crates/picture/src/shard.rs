@@ -1,42 +1,42 @@
-//! Sharded multi-video retrieval: hash partitioning plus scatter-gather
-//! top-`k`.
+//! Scatter-gather top-`k` over a hash-partitioned corpus: the pieces every
+//! shard read and every gather share.
 //!
 //! The paper's similarity model decomposes per video — indices, similarity
 //! lists and engines are all per-video state — which makes the corpus
-//! embarrassingly partitionable. [`ShardedVideoDb`] hash-partitions a
-//! [`VideoStore`] into `S` shards with a stable [`ShardId`] assignment;
-//! each shard evaluates a query on its own videos (through the pruned
-//! [`Engine::top_k_closed`] path, with per-video atomic caches and
-//! singleflight intact) and emits a ranked [`ShardStream`]; the merge
-//! coordinator ([`simvid_core::merge_shard_streams`]) then runs the
-//! threshold algorithm across the streams, stopping as soon as the k-th
-//! best score dominates every shard's remaining upper bound.
+//! embarrassingly partitionable. [`crate::LiveVideoDb`] hash-partitions
+//! its videos into `S` shards with a stable [`ShardId`] assignment
+//! ([`shard_of`]); each shard evaluates a [`PreparedQuery`] on its own
+//! videos (through the pruned [`Engine::top_k_plan_resilient`] path, with
+//! per-video atomic caches and singleflight intact) and emits a ranked
+//! [`ShardStream`]; the merge coordinator
+//! ([`simvid_core::merge_shard_streams`]) then runs the threshold algorithm
+//! across the streams, stopping as soon as the k-th best score dominates
+//! every shard's remaining upper bound.
 //!
 //! Results are **bit-identical** to the unsharded path for every shard
 //! count: streams are sorted by the corpus-wide total order
 //! ([`simvid_core::global_rank`]), so the merge is exactly the k-prefix of
 //! the global sort the flat scan would produce. The
-//! [`ShardedVideoDb::top_k_unsharded`] oracle makes that property directly
+//! [`crate::LivePin::top_k_unsharded`] oracle makes that property directly
 //! testable (and CI-gateable via `results_digest`).
 //!
 //! A shard whose provider fails with a *degradable* error (a provider
-//! that gave up after retries, a budget violation, a captured panic)
-//! degrades the answer instead of sinking it: the merge runs over the
-//! surviving shards and the result carries the failed shard ids plus a
-//! sound upper bound on anything the failed shards could have contributed
-//! (see [`ShardedDegraded`]).
+//! that gave up after retries, a budget violation, a captured panic, every
+//! replica exhausted) degrades the answer instead of sinking it: the merge
+//! runs over the surviving shards and the result carries the failed shard
+//! ids plus a sound upper bound on anything the failed shards could have
+//! contributed (see [`ShardedDegraded`]).
 
-use crate::{CacheConfig, PictureSystem, ScoringConfig};
 use simvid_core::{
     merge_shard_streams, AtomicProvider, Budget, Engine, EngineConfig, EngineError, EngineHandles,
     MergeStats, Plan, ShardHit, ShardStream, TopKAnswer,
 };
-use simvid_htl::{classify, normalize_for_engine, Formula, FormulaClass};
-use simvid_model::{CorpusEpoch, VideoId, VideoStore, VideoTree};
-use simvid_obs::{Counter, Histogram, Registry};
+use simvid_htl::{classify, normalize_for_engine, Formula, FormulaClass, FormulaId};
+use simvid_model::{VideoId, VideoTree};
+use simvid_obs::{Counter, Registry};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Stable identifier of one shard of a partitioned video store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,22 +69,6 @@ pub fn shard_of(video: VideoId, shards: u32) -> ShardId {
     ShardId((h % u64::from(shards)) as u32)
 }
 
-/// One video of a shard: its tree plus the provider that answers atomic
-/// queries on it (persistent, so atomic caches warm up across requests).
-struct ShardMember<'a, P> {
-    video: VideoId,
-    tree: &'a VideoTree,
-    provider: P,
-}
-
-/// One shard: a stable id, the videos hashed into it, and its
-/// `shard.<id>.eval_seconds` histogram.
-struct Shard<'a, P> {
-    id: ShardId,
-    members: Vec<ShardMember<'a, P>>,
-    eval_seconds: Arc<Histogram>,
-}
-
 /// The metric handles a corpus resolves once per registry and uses on
 /// every request: the engine's, and the gather step's `shard.*` counters.
 pub(crate) struct CorpusHandles {
@@ -113,8 +97,7 @@ impl CorpusHandles {
     /// Merges per-shard evaluation outcomes into a [`ShardedAnswer`],
     /// counting shard outcomes (`shard.outcome.ok` / `shard.outcome.failed`)
     /// and coordinator savings (`shard.candidates_pruned`,
-    /// `shard.early_terminated`). Every corpus type gathers here, so a
-    /// request is accounted identically wherever its shards ran.
+    /// `shard.early_terminated`); see [`crate::LivePin::gather`].
     pub(crate) fn gather(
         &self,
         per_shard: Vec<(ShardId, Result<ShardStream, EngineError>)>,
@@ -261,340 +244,58 @@ impl ShardedAnswer {
     }
 }
 
-/// A hash-partitioned video store with scatter-gather top-`k` retrieval.
-///
-/// Generic over the per-video provider so the serving stack can wrap
-/// providers (fault injection, instrumentation) without this crate
-/// depending on them — see [`ShardedVideoDb::map_providers`].
-pub struct ShardedVideoDb<'a, P: AtomicProvider> {
-    shards: Vec<Shard<'a, P>>,
-    engine_cfg: EngineConfig,
-    handles: Arc<CorpusHandles>,
-    /// The corpus epoch the partition was built against. A frozen db
-    /// serves this one epoch forever; the live layer builds a fresh
-    /// snapshot per epoch instead of mutating one in place.
-    epoch: CorpusEpoch,
-}
-
-impl<'a> ShardedVideoDb<'a, PictureSystem<'a>> {
-    /// Partitions `store` into `shards` shards of [`PictureSystem`]s, one
-    /// per video, all publishing into `registry`. Per-video atomic caches
-    /// (and their singleflight coalescing) persist for the lifetime of
-    /// the db, so repeated queries warm up exactly as in the unsharded
-    /// serving path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn partition(
-        store: &'a VideoStore,
-        shards: u32,
-        scoring: &ScoringConfig,
-        engine_cfg: EngineConfig,
-        cache: CacheConfig,
-        registry: Arc<Registry>,
-    ) -> Self {
-        assert!(shards > 0, "shard count must be positive");
-        let mut buckets: Vec<Shard<'a, PictureSystem<'a>>> = (0..shards)
-            .map(|i| Shard {
-                id: ShardId(i),
-                members: Vec::new(),
-                eval_seconds: registry.histogram(&format!("shard.{i}.eval_seconds")),
-            })
-            .collect();
-        let epoch = store.epoch();
-        for (video, tree) in store.iter() {
-            let shard = shard_of(video, shards);
-            buckets[shard.0 as usize].members.push(ShardMember {
-                video,
-                tree,
-                provider: PictureSystem::with_registry(
-                    tree,
-                    scoring.clone(),
-                    cache,
-                    Arc::clone(&registry),
-                )
-                .with_provenance(epoch, 0),
-            });
-        }
-        ShardedVideoDb {
-            shards: buckets,
-            engine_cfg,
-            handles: CorpusHandles::new(registry),
-            epoch,
-        }
-    }
-}
-
-impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
-    /// Rewraps every per-video provider, preserving the partition. This is
-    /// how the chaos harness injects faults: wrap each provider in a
-    /// fault-injecting decorator, giving the victim shard an always-fail
-    /// plan and the survivors a quiet one.
-    #[must_use]
-    pub fn map_providers<Q, F>(self, mut f: F) -> ShardedVideoDb<'a, Q>
-    where
-        Q: AtomicProvider,
-        F: FnMut(ShardId, VideoId, P) -> Q,
-    {
-        let shards = self
-            .shards
-            .into_iter()
-            .map(|s| Shard {
-                id: s.id,
-                members: s
-                    .members
-                    .into_iter()
-                    .map(|m| ShardMember {
-                        video: m.video,
-                        tree: m.tree,
-                        provider: f(s.id, m.video, m.provider),
-                    })
-                    .collect(),
-                eval_seconds: s.eval_seconds,
-            })
-            .collect();
-        ShardedVideoDb {
-            shards,
-            engine_cfg: self.engine_cfg,
-            handles: self.handles,
-            epoch: self.epoch,
-        }
-    }
-
-    /// The corpus epoch this partition was built against.
-    #[must_use]
-    pub fn epoch(&self) -> CorpusEpoch {
-        self.epoch
-    }
-
-    /// Visits every per-video provider (chaos harnesses use this to bump
-    /// fault epochs between requests).
-    pub fn for_each_provider(&self, mut f: impl FnMut(ShardId, VideoId, &P)) {
-        for s in &self.shards {
-            for m in &s.members {
-                f(s.id, m.video, &m.provider);
-            }
-        }
-    }
-
-    /// Number of shards (fixed at partition time).
-    #[must_use]
-    pub fn shard_count(&self) -> u32 {
-        self.shards.len() as u32
-    }
-
-    /// The shard ids, in order.
-    pub fn shard_ids(&self) -> impl Iterator<Item = ShardId> + '_ {
-        self.shards.iter().map(|s| s.id)
-    }
-
-    /// The videos assigned to `shard`, in store order.
-    #[must_use]
-    pub fn videos_in(&self, shard: ShardId) -> Vec<VideoId> {
-        self.shards[shard.0 as usize]
-            .members
-            .iter()
-            .map(|m| m.video)
-            .collect()
-    }
-
-    /// The metrics registry shared by every shard.
-    #[must_use]
-    pub fn registry(&self) -> &Arc<Registry> {
-        self.handles.registry()
-    }
-
-    /// Evaluates `query` on one shard and returns its ranked candidate
-    /// stream: each member video's pruned top-`k` (at most `k` hits per
-    /// video can reach the global top-`k`), sorted by the corpus-wide
-    /// rank order. Evaluation wall time lands in the shard's
-    /// `shard.<id>.eval_seconds` histogram.
-    ///
-    /// # Errors
-    ///
-    /// Any [`EngineError`] from a member evaluation; degradable errors
-    /// mark the whole shard failed in [`ShardedVideoDb::gather`].
-    pub fn eval_shard(
-        &self,
-        shard: ShardId,
-        query: &Formula,
-        depth: u8,
-        k: usize,
-    ) -> Result<ShardStream, EngineError> {
-        self.eval_shard_budgeted(shard, query, depth, k, &Budget::unlimited())
-    }
-
-    /// [`ShardedVideoDb::eval_shard`] under a request [`Budget`]: member
-    /// evaluations go through [`Engine::top_k_plan_resilient`] sharing
-    /// one budget across the whole shard, and a budget violation surfaces
-    /// as its typed error instead of a partial stream (a shard stream must
-    /// be exact — soundness of the merge depends on it). With
-    /// [`Budget::unlimited`] this is [`ShardedVideoDb::eval_shard`]. The
-    /// replicated store uses the fuel cap to implement deterministic
-    /// hedged reads.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedVideoDb::eval_shard`], plus the degradable budget
-    /// errors ([`EngineError::BudgetExhausted`],
-    /// [`EngineError::DeadlineExceeded`], [`EngineError::Cancelled`]).
-    pub fn eval_shard_budgeted(
-        &self,
-        shard: ShardId,
-        query: &Formula,
-        depth: u8,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<ShardStream, EngineError> {
-        let normalized = normalize_query(query)?;
-        let plan = Plan::new(normalized.as_ref());
-        self.eval_planned(&self.shards[shard.0 as usize], &plan, depth, k, budget)
-    }
-
-    fn eval_planned(
-        &self,
-        shard: &Shard<'a, P>,
-        plan: &Plan,
-        depth: u8,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<ShardStream, EngineError> {
-        let t0 = Instant::now();
-        let members = shard.members.iter().map(|m| (m.video, m.tree, &m.provider));
-        let stream = eval_members(
-            shard.id,
-            members,
-            plan,
-            (depth, k),
-            self.engine_cfg,
-            &self.handles.engine,
-            budget,
-        )?;
-        shard.eval_seconds.record_duration(t0.elapsed());
-        Ok(stream)
-    }
-
-    /// Merges per-shard evaluation outcomes into a [`ShardedAnswer`],
-    /// counting shard outcomes (`shard.outcome.ok` / `shard.outcome.failed`)
-    /// and coordinator savings (`shard.candidates_pruned`,
-    /// `shard.early_terminated`) into the registry. Shared by the
-    /// sequential scatter loop and the concurrent executor fan-out so a
-    /// request is accounted identically wherever its shards ran.
-    ///
-    /// # Errors
-    ///
-    /// The first non-degradable shard error (a rejected query, a bad
-    /// level): degrading cannot help, the request itself is malformed.
-    pub fn gather(
-        &self,
-        per_shard: Vec<(ShardId, Result<ShardStream, EngineError>)>,
-        k: usize,
-    ) -> Result<ShardedAnswer, EngineError> {
-        self.handles.gather(per_shard, k)
-    }
-
-    /// Scatter-gather top-`k`: evaluates `query` on every shard and
-    /// merges the streams with the threshold algorithm. Complete answers
-    /// are bit-identical to [`ShardedVideoDb::top_k_unsharded`].
-    ///
-    /// # Errors
-    ///
-    /// Non-degradable errors only; shard-level degradable failures
-    /// resolve to [`ShardedAnswer::Degraded`] instead.
-    pub fn top_k(
-        &self,
-        query: &Formula,
-        depth: u8,
-        k: usize,
-    ) -> Result<ShardedAnswer, EngineError> {
-        let normalized = normalize_query(query)?;
-        let plan = Plan::new(normalized.as_ref());
-        let unlimited = Budget::unlimited();
-        let per_shard = self
-            .shards
-            .iter()
-            .map(|s| (s.id, self.eval_planned(s, &plan, depth, k, &unlimited)))
-            .collect();
-        self.gather(per_shard, k)
-    }
-
-    /// The unsharded oracle: a flat scan over every video (same per-video
-    /// pruned evaluation), one global sort, truncate at `k`. This is the
-    /// reference the scatter-gather path must reproduce bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// Any [`EngineError`] from a member evaluation — the oracle does not
-    /// degrade.
-    pub fn top_k_unsharded(
-        &self,
-        query: &Formula,
-        depth: u8,
-        k: usize,
-    ) -> Result<Vec<ShardHit>, EngineError> {
-        let normalized = normalize_query(query)?;
-        let plan = Plan::new(normalized.as_ref());
-        let members = self
-            .shards
-            .iter()
-            .flat_map(|s| &s.members)
-            .map(|m| (m.video, m.tree, &m.provider));
-        // One stream over every video is already in global rank order.
-        let mut hits = eval_members(
-            ShardId(0),
-            members,
-            &plan,
-            (depth, k),
-            self.engine_cfg,
-            &self.handles.engine,
-            &Budget::unlimited(),
-        )?
-        .hits;
-        hits.truncate(k);
-        Ok(hits)
-    }
-}
-
-/// Hoists inline quantifiers exactly as [`crate::VideoDatabase::retrieve`]
-/// does, so naively-written queries reach the engine-supported class.
-/// Shared with the live-ingestion store so both normalize identically.
-pub(crate) fn normalize_query(query: &Formula) -> Result<NormalizedQuery<'_>, EngineError> {
+/// Hoists inline quantifiers to prefix form when that
+/// (semantics-preservingly) brings a naively-written query into an
+/// engine-supported class. Every multi-video entry point — the live
+/// corpus and [`crate::VideoDatabase::retrieve`] — normalizes here.
+pub(crate) fn normalize_query(query: &Formula) -> Result<Cow<'_, Formula>, EngineError> {
     if classify(query) == FormulaClass::General {
         let (hoisted, _, after) = normalize_for_engine(query);
         if after == FormulaClass::General {
             return Err(EngineError::UnsupportedFormula(
-                "sharded retrieval requires extended conjunctive formulas \
+                "multi-video retrieval requires extended conjunctive formulas \
                  (even after quantifier hoisting)"
                     .into(),
             ));
         }
-        Ok(NormalizedQuery::Owned(hoisted))
+        Ok(Cow::Owned(hoisted))
     } else {
-        Ok(NormalizedQuery::Borrowed(query))
+        Ok(Cow::Borrowed(query))
     }
 }
 
-pub(crate) enum NormalizedQuery<'q> {
-    Borrowed(&'q Formula),
-    Owned(Formula),
+/// A corpus query prepared once per request: normalized, compiled into a
+/// [`Plan`] shared by every shard read and every video, and keyed for
+/// replica rotation by the normalized query's [`FormulaId::stable_hash`]
+/// (stable across runs, unlike the interned id).
+#[derive(Debug, Clone)]
+pub struct PreparedQuery {
+    pub(crate) plan: Plan,
+    pub(crate) key: u64,
 }
 
-impl NormalizedQuery<'_> {
-    pub(crate) fn as_ref(&self) -> &Formula {
-        match self {
-            NormalizedQuery::Borrowed(f) => f,
-            NormalizedQuery::Owned(f) => f,
-        }
+impl PreparedQuery {
+    /// Normalizes and plans `query`.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::UnsupportedFormula`] when the query stays outside the
+    /// extended conjunctive class even after quantifier hoisting.
+    pub fn new(query: &Formula) -> Result<PreparedQuery, EngineError> {
+        let normalized = normalize_query(query)?;
+        Ok(PreparedQuery {
+            plan: Plan::new(&normalized),
+            key: FormulaId::stable_hash(&normalized),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LiveConfig, LiveVideoDb};
     use simvid_htl::parse;
-    use simvid_model::VideoBuilder;
+    use simvid_model::{VideoBuilder, VideoStore};
 
     fn video(title: &str, gun_shots: &[bool]) -> VideoTree {
         let mut b = VideoBuilder::new(title);
@@ -623,13 +324,13 @@ mod tests {
         store
     }
 
-    fn db(store: &VideoStore, shards: u32) -> ShardedVideoDb<'_, PictureSystem<'_>> {
-        ShardedVideoDb::partition(
-            store,
-            shards,
-            &ScoringConfig::default(),
-            EngineConfig::default(),
-            CacheConfig::default(),
+    fn db(shards: u32) -> LiveVideoDb {
+        LiveVideoDb::new(
+            store(),
+            LiveConfig {
+                shards,
+                ..LiveConfig::default()
+            },
             Arc::new(Registry::new()),
         )
     }
@@ -654,29 +355,29 @@ mod tests {
 
     #[test]
     fn partition_covers_every_video_exactly_once() {
-        let store = store();
-        let db = db(&store, 3);
-        let mut videos: Vec<VideoId> = db.shard_ids().flat_map(|s| db.videos_in(s)).collect();
+        let pin = db(3).pin();
+        let mut videos: Vec<VideoId> = (0..pin.shard_count())
+            .flat_map(|s| pin.videos_in(ShardId(s)))
+            .collect();
         videos.sort();
-        let mut want: Vec<VideoId> = store.iter().map(|(v, _)| v).collect();
+        let mut want: Vec<VideoId> = store().iter().map(|(v, _)| v).collect();
         want.sort();
         assert_eq!(videos, want);
-        for s in db.shard_ids() {
-            for v in db.videos_in(s) {
-                assert_eq!(shard_of(v, 3), s);
+        for s in 0..pin.shard_count() {
+            for v in pin.videos_in(ShardId(s)) {
+                assert_eq!(shard_of(v, 3), ShardId(s));
             }
         }
     }
 
     #[test]
     fn sharded_top_k_matches_unsharded_oracle_for_every_shard_count() {
-        let store = store();
         let q = parse("exists x . person(x) and holds_gun(x)").unwrap();
         for shards in 1..=6 {
-            let db = db(&store, shards);
+            let pin = db(shards).pin();
             for k in [0, 1, 3, 7, 100] {
-                let oracle = db.top_k_unsharded(&q, 1, k).unwrap();
-                let answer = db.top_k(&q, 1, k).unwrap();
+                let oracle = pin.top_k_unsharded(&q, 1, k).unwrap();
+                let answer = pin.top_k(&q, 1, k).unwrap();
                 assert!(answer.is_complete());
                 assert_eq!(answer.ranked(), &oracle[..], "shards={shards} k={k}");
             }
@@ -685,10 +386,9 @@ mod tests {
 
     #[test]
     fn merge_counters_account_for_savings() {
-        let store = store();
-        let db = db(&store, 4);
+        let db = db(4);
         let q = parse("exists x . holds_gun(x)").unwrap();
-        let answer = db.top_k(&q, 1, 2).unwrap();
+        let answer = db.pin().top_k(&q, 1, 2).unwrap();
         let stats = answer.merge_stats();
         assert_eq!(stats.consumed, 2);
         assert!(stats.candidates_pruned > 0, "k=2 must leave candidates");
@@ -702,11 +402,25 @@ mod tests {
 
     #[test]
     fn general_queries_are_hoisted_or_rejected() {
-        let store = store();
-        let db = db(&store, 2);
+        let pin = db(2).pin();
         let hoistable = parse("true and (exists x . eventually holds_gun(x))").unwrap();
-        assert!(db.top_k(&hoistable, 1, 5).is_ok());
+        assert!(pin.top_k(&hoistable, 1, 5).is_ok());
         let hopeless = parse("not eventually (exists x . holds_gun(x))").unwrap();
-        assert!(db.top_k(&hopeless, 1, 5).is_err());
+        assert!(pin.top_k(&hopeless, 1, 5).is_err());
+    }
+
+    #[test]
+    fn prepared_queries_key_rotation_on_structure_not_interning_order() {
+        let a = PreparedQuery::new(&parse("exists x . holds_gun(x)").unwrap()).unwrap();
+        let b = PreparedQuery::new(&parse("exists x . holds_gun(x)").unwrap()).unwrap();
+        let c = PreparedQuery::new(&parse("exists x . person(x)").unwrap()).unwrap();
+        assert_eq!(a.key, b.key);
+        assert_ne!(a.key, c.key);
+        // A hoisted query keys on its normalized form.
+        let inline = PreparedQuery::new(&parse("true and (exists x . holds_gun(x))").unwrap());
+        let hoisted = normalize_query(&parse("true and (exists x . holds_gun(x))").unwrap())
+            .unwrap()
+            .into_owned();
+        assert_eq!(inline.unwrap().key, FormulaId::stable_hash(&hoisted));
     }
 }

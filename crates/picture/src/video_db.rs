@@ -7,9 +7,10 @@
 //! independently (indices and similarity lists are per video) and the
 //! results are merged into one global top-*k* ranking.
 
+use crate::shard::normalize_query;
 use crate::{PictureSystem, ScoringConfig};
 use simvid_core::{rank_entries, Engine, EngineConfig, EngineError, Sim};
-use simvid_htl::{classify, normalize_for_engine, Formula, FormulaClass};
+use simvid_htl::Formula;
 use simvid_model::{SegmentId, VideoId, VideoStore};
 
 /// One retrieved segment of one video.
@@ -84,23 +85,8 @@ impl<'a> VideoDatabase<'a> {
         level: &QueryLevel,
         k: usize,
     ) -> Result<Vec<Hit>, EngineError> {
-        // Users often write quantifiers inline; hoist them to prefix form
-        // when that (semantics-preservingly) brings the query into an
-        // engine-supported class.
-        let normalized;
-        let query = if classify(query) == FormulaClass::General {
-            let (hoisted, _, after) = normalize_for_engine(query);
-            if after == FormulaClass::General {
-                return Err(EngineError::UnsupportedFormula(
-                    "multi-video retrieval requires extended conjunctive formulas                      (even after quantifier hoisting)"
-                        .into(),
-                ));
-            }
-            normalized = hoisted;
-            &normalized
-        } else {
-            query
-        };
+        // Users often write quantifiers inline; hoist them to prefix form.
+        let query = normalize_query(query)?;
         let mut hits: Vec<Hit> = Vec::new();
         for (vid, tree) in self.store.iter() {
             let depth = match level {
@@ -118,7 +104,7 @@ impl<'a> VideoDatabase<'a> {
             };
             let system = PictureSystem::new(tree, self.scoring.clone());
             let engine = Engine::with_config(&system, tree, self.engine_cfg);
-            let list = engine.eval_closed_at_level(query, depth)?;
+            let list = engine.eval_closed_at_level(&query, depth)?;
             let seq = tree.level_sequence(depth);
             for (iv, sim) in rank_entries(&list) {
                 for pos in iv.beg..=iv.end {
@@ -164,6 +150,20 @@ mod tests {
             b.up();
         }
         b.finish().unwrap()
+    }
+
+    #[test]
+    fn unsupported_queries_are_rejected_with_a_readable_reason() {
+        let mut store = VideoStore::new();
+        store.add(video_with_shots("a", &[true]));
+        let db = VideoDatabase::new(&store);
+        let q = parse("not eventually (exists x . holds_gun(x))").unwrap();
+        let err = db.retrieve(&q, &QueryLevel::Leaves, 5).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "formula not in the extended conjunctive class: multi-video retrieval \
+             requires extended conjunctive formulas (even after quantifier hoisting)"
+        );
     }
 
     #[test]

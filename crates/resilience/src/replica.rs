@@ -1,7 +1,8 @@
 //! Replica health tracking, circuit breaking, and failover policy.
 //!
-//! The replicated serving path (`simvid_picture`'s `ReplicatedVideoDb`)
-//! consults each shard's replicas through the types in this module: a
+//! The live corpus (`simvid_picture`'s `LiveVideoDb`, whose `LivePin`
+//! walks a shard's replicas on every read) consults them through the
+//! types in this module: a
 //! per-replica [`HealthTracker`] (EWMA of recent call outcomes), a
 //! three-state [`CircuitBreaker`] gating admission to replicas that keep
 //! failing, and a pure [`failover_order`] that fixes the candidate order a
@@ -13,7 +14,10 @@
 //! cooldown timer, so a chaos run replays bit-identically however fast the
 //! machine is. Failover order is a pure function of `(epoch, shard,
 //! replica count)` — never of timing — so the replicas a request consults
-//! form the same sequence under 1 worker or 8.
+//! form the same sequence under 1 worker or 8. The live corpus keys the
+//! `epoch` argument on its snapshot epoch mixed with the query's stable
+//! structural hash, so on a frozen corpus different queries lead with
+//! different replicas.
 
 use simvid_obs::{Counter, Gauge, Registry};
 use std::sync::{Arc, Mutex};

@@ -1,116 +1,17 @@
-//! A churn serving workload: queries interleaved with corpus mutations.
+//! Corpus churn: the mutation batches of the corpus workload.
 //!
-//! The corpus, query pool and Zipf-skewed schedule are exactly those of
-//! [`crate::shard`] (same seeding, so the mutation-free prefix of a churn
-//! run answers bit-identically to the frozen sharded workload). On top of
-//! them, [`build_churn`] derives a deterministic sequence of mutation
-//! batches — `Ingest`/`Update`/`Remove` mixes, always leaving at least
-//! one live video — scheduled at fixed request positions. Two runners
-//! drive the schedule against a [`LiveVideoDb`]:
-//!
-//! * [`run_schedule_churn`] — the sequential reference: before each
-//!   request, apply any batch scheduled at its position; then pin a
-//!   snapshot and answer.
-//! * [`run_schedule_churn_concurrent`] — the segments between mutation
-//!   points run through the PR 7 `(request, shard)` worker-pool fan-out
-//!   against one pinned snapshot per segment; the pool drains (a
-//!   barrier) at each mutation point, the batch applies, and the next
-//!   segment pins the new epoch. Answers are bit-identical to the
-//!   sequential runner at every worker count because each request is
-//!   answered at the same epoch either way.
+//! [`batches`] derives a deterministic sequence of mutation batches —
+//! `Ingest`/`Update`/`Remove` mixes, always leaving at least one live
+//! video — scheduled at fixed request positions of a
+//! [`crate::shard::CorpusWorkload`]. The corpus, query pool and schedule
+//! are those of the frozen workload with the same seed, so the
+//! mutation-free prefix of a churn run answers bit-identically to the
+//! frozen corpus; [`crate::shard::run_corpus`] applies each batch at its
+//! position, between pinned segments.
 
-use simvid_core::{EngineError, ShardStream};
-use simvid_htl::Formula;
-use simvid_model::{CorpusOp, VideoId, VideoStore};
-use simvid_picture::{LivePin, LiveVideoDb, ShardId, ShardedAnswer};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use simvid_model::{CorpusOp, VideoId};
 
-use crate::randomvideo::{generate, VideoGenConfig};
-use crate::serve::{BoundedQueue, CloseOnPanic, ExecutorConfig};
-
-/// Parameters of the churn workload.
-#[derive(Debug, Clone)]
-pub struct ChurnConfig {
-    /// Number of videos in the base corpus (epoch 0).
-    pub videos: u32,
-    /// Shots per video (base and mutated trees alike).
-    pub shots: u32,
-    /// Number of requests in the schedule.
-    pub requests: usize,
-    /// Skew of the query popularity distribution.
-    pub zipf_exponent: f64,
-    /// `k` of the corpus-wide top-`k` each request asks for.
-    pub k: usize,
-    /// Seed for the corpus, the schedule and the mutation batches.
-    pub seed: u64,
-    /// Per-video atomic-cache capacity.
-    pub cache_capacity: usize,
-    /// Shard count of the live partition.
-    pub shards: u32,
-    /// Replica count per video.
-    pub replicas: u32,
-    /// Number of mutation batches, spread evenly over the schedule.
-    pub batches: usize,
-    /// Worker threads of the concurrent executor.
-    pub workers: usize,
-    /// Capacity of the executor's bounded task queue.
-    pub queue_depth: usize,
-}
-
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        ChurnConfig {
-            videos: 8,
-            shots: 60,
-            requests: 120,
-            zipf_exponent: 1.1,
-            k: 10,
-            seed: 97,
-            cache_capacity: 1024,
-            shards: 2,
-            replicas: 1,
-            batches: 3,
-            workers,
-            queue_depth: 2 * workers,
-        }
-    }
-}
-
-/// A fully materialised churn workload: the base corpus, the query pool
-/// and schedule, and the mutation batches at their scheduled positions.
-pub struct ChurnWorkload {
-    /// The base corpus (epoch 0); hand it to [`LiveVideoDb::new`].
-    pub store: VideoStore,
-    /// The query pool, hottest first.
-    pub queries: Vec<Formula>,
-    /// The request schedule: `schedule[r]` indexes into `queries`.
-    pub schedule: Vec<usize>,
-    /// Mutation batches as `(position, ops)`: the batch applies *before*
-    /// the request at `position`. Positions are non-decreasing.
-    pub batches: Vec<(usize, Vec<CorpusOp>)>,
-    /// Top-`k` size of every request.
-    pub k: usize,
-}
-
-impl ChurnWorkload {
-    /// The depth requests are evaluated at (the shot level).
-    #[must_use]
-    pub fn depth(&self) -> u8 {
-        1
-    }
-
-    /// Requests before the first mutation — the prefix that must answer
-    /// bit-identically to the frozen (epoch 0) store.
-    #[must_use]
-    pub fn mutation_free_prefix(&self) -> usize {
-        self.batches
-            .first()
-            .map_or(self.schedule.len(), |(p, _)| *p)
-    }
-}
+use crate::shard::{gen_tree, CorpusConfig};
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -120,40 +21,15 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Builds the churn workload. Deterministic in `cfg.seed`; the base
-/// corpus and schedule are exactly [`crate::shard::build_sharded`]'s for
-/// the same parameters.
+/// The `cfg.batches` mutation batches of the corpus workload, as
+/// `(position, ops)` pairs spread evenly over the schedule. Deterministic
+/// in `cfg.seed`: drawn from a private splitmix stream that simulates
+/// store liveness, so every batch is valid by construction.
 #[must_use]
-pub fn build_churn(cfg: &ChurnConfig) -> ChurnWorkload {
-    let sharded = crate::shard::build_sharded(&crate::shard::ShardedServeConfig {
-        videos: cfg.videos,
-        shots: cfg.shots,
-        requests: cfg.requests,
-        zipf_exponent: cfg.zipf_exponent,
-        k: cfg.k,
-        seed: cfg.seed,
-        cache_capacity: cfg.cache_capacity,
-        shards: cfg.shards,
-        workers: cfg.workers,
-        queue_depth: cfg.queue_depth,
-    });
-
-    // Derive the mutation batches from a private splitmix stream,
-    // simulating store liveness so every batch is valid by construction.
+pub fn batches(cfg: &CorpusConfig) -> Vec<(usize, Vec<CorpusOp>)> {
     let mut rng = cfg.seed ^ 0x6368_7572_6e5f_6f70; // "churn_op"
     let mut live: Vec<VideoId> = (0..cfg.videos).map(VideoId).collect();
     let mut next_id = cfg.videos;
-    let gen_tree = |seed: u64| {
-        generate(
-            &VideoGenConfig {
-                branching: vec![cfg.shots],
-                object_count: 10,
-                objects_per_leaf: 3.0,
-                ..VideoGenConfig::default()
-            },
-            seed,
-        )
-    };
     let mut batches: Vec<(usize, Vec<CorpusOp>)> = Vec::with_capacity(cfg.batches);
     for j in 0..cfg.batches {
         let position = (j + 1) * cfg.requests / (cfg.batches + 1);
@@ -164,7 +40,10 @@ pub fn build_churn(cfg: &ChurnConfig) -> ChurnWorkload {
             match roll {
                 1 if !live.is_empty() => {
                     let pick = live[(splitmix(&mut rng) as usize) % live.len()];
-                    ops.push(CorpusOp::Update(pick, gen_tree(splitmix(&mut rng))));
+                    ops.push(CorpusOp::Update(
+                        pick,
+                        gen_tree(cfg.shots, splitmix(&mut rng)),
+                    ));
                 }
                 2 if live.len() > 1 => {
                     let ix = (splitmix(&mut rng) as usize) % live.len();
@@ -172,7 +51,7 @@ pub fn build_churn(cfg: &ChurnConfig) -> ChurnWorkload {
                     ops.push(CorpusOp::Remove(pick));
                 }
                 _ => {
-                    ops.push(CorpusOp::Ingest(gen_tree(splitmix(&mut rng))));
+                    ops.push(CorpusOp::Ingest(gen_tree(cfg.shots, splitmix(&mut rng))));
                     live.push(VideoId(next_id));
                     next_id += 1;
                 }
@@ -180,263 +59,31 @@ pub fn build_churn(cfg: &ChurnConfig) -> ChurnWorkload {
         }
         batches.push((position, ops));
     }
-
-    ChurnWorkload {
-        store: sharded.store,
-        queries: sharded.queries,
-        schedule: sharded.schedule,
-        batches,
-        k: cfg.k,
-    }
-}
-
-/// The outcome of driving one churn schedule.
-#[derive(Debug, Clone)]
-pub struct ChurnRun {
-    /// Per-request `(epoch, answer)` pairs, in schedule order: the epoch
-    /// the request's pinned snapshot served.
-    pub answers: Vec<(u64, ShardedAnswer)>,
-    /// Wall time of the whole schedule, mutation applies included.
-    pub elapsed: Duration,
-}
-
-impl ChurnRun {
-    /// How many requests resolved with every shard contributing.
-    #[must_use]
-    pub fn complete(&self) -> usize {
-        self.answers.iter().filter(|(_, a)| a.is_complete()).count()
-    }
-
-    /// How many requests lost at least one shard.
-    #[must_use]
-    pub fn degraded(&self) -> usize {
-        self.answers.len() - self.complete()
-    }
-
-    /// The epochs served, deduplicated in order.
-    #[must_use]
-    pub fn epochs(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for (e, _) in &self.answers {
-            if out.last() != Some(e) {
-                out.push(*e);
-            }
-        }
-        out
-    }
-}
-
-/// Drives the churn schedule sequentially: before each request, apply
-/// every batch scheduled at or before its position; then pin a snapshot
-/// and answer at that pinned epoch. `serve.requests` and
-/// `serve.request_seconds` are recorded as in the other serving loops.
-///
-/// # Panics
-///
-/// Panics if a scheduled batch is rejected (batches are valid by
-/// construction) or a request fails non-degradably.
-#[must_use]
-pub fn run_schedule_churn(w: &ChurnWorkload, db: &LiveVideoDb) -> ChurnRun {
-    let requests = db.registry().counter("serve.requests");
-    let latency = db.registry().histogram("serve.request_seconds");
-    let depth = w.depth();
-    let start = Instant::now();
-    let mut answers: Vec<(u64, ShardedAnswer)> = Vec::with_capacity(w.schedule.len());
-    let mut bi = 0;
-    for (r, &q) in w.schedule.iter().enumerate() {
-        while bi < w.batches.len() && w.batches[bi].0 <= r {
-            db.apply(&w.batches[bi].1).expect("scheduled batch applies");
-            bi += 1;
-        }
-        let pin = db.pin();
-        let t0 = Instant::now();
-        let answer = pin
-            .top_k(&w.queries[q], depth, w.k)
-            .expect("churn request evaluates");
-        latency.record_duration(t0.elapsed());
-        requests.inc();
-        answers.push((pin.epoch().0, answer));
-    }
-    while bi < w.batches.len() {
-        db.apply(&w.batches[bi].1).expect("scheduled batch applies");
-        bi += 1;
-    }
-    ChurnRun {
-        answers,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Concurrent twin of [`run_schedule_churn`]: each segment of requests
-/// between mutation points fans out as `(request, shard)` tasks over the
-/// PR 7 worker pool against **one pinned snapshot**; the pool drains at
-/// every mutation point (a barrier), the batch applies, and the next
-/// segment pins the new epoch. Bit-identical to the sequential runner at
-/// every worker count.
-///
-/// # Panics
-///
-/// As [`run_schedule_churn`]; a panicking worker closes the queue so the
-/// pool shuts down instead of deadlocking.
-#[must_use]
-pub fn run_schedule_churn_concurrent(
-    w: &ChurnWorkload,
-    db: &LiveVideoDb,
-    exec: &ExecutorConfig,
-) -> ChurnRun {
-    let n = w.schedule.len();
-    let start = Instant::now();
-    let mut answers: Vec<(u64, ShardedAnswer)> = Vec::with_capacity(n);
-    let mut bi = 0;
-    let mut lo = 0;
-    while lo < n {
-        while bi < w.batches.len() && w.batches[bi].0 <= lo {
-            db.apply(&w.batches[bi].1).expect("scheduled batch applies");
-            bi += 1;
-        }
-        // All remaining batch positions are > lo, so the segment is
-        // non-empty and every request in it serves the just-pinned epoch.
-        let hi = if bi < w.batches.len() {
-            w.batches[bi].0.min(n)
-        } else {
-            n
-        };
-        let pin = db.pin();
-        let epoch = pin.epoch().0;
-        let segment = run_segment_concurrent(w, db, &pin, lo, hi, exec);
-        answers.extend(segment.into_iter().map(|a| (epoch, a)));
-        lo = hi;
-    }
-    while bi < w.batches.len() {
-        db.apply(&w.batches[bi].1).expect("scheduled batch applies");
-        bi += 1;
-    }
-    ChurnRun {
-        answers,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Fans requests `lo..hi` out as `(request, shard)` tasks against one
-/// pinned snapshot — the same slot-ordered scatter state as
-/// [`crate::shard::run_schedule_sharded_concurrent`], with the pin
-/// supplying `eval_shard`/`gather`.
-fn run_segment_concurrent(
-    w: &ChurnWorkload,
-    db: &LiveVideoDb,
-    pin: &LivePin,
-    lo: usize,
-    hi: usize,
-    exec: &ExecutorConfig,
-) -> Vec<ShardedAnswer> {
-    let registry = db.registry();
-    let workers = exec.workers.max(1);
-    let shards = pin.shard_count().max(1) as usize;
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.request_seconds");
-    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
-    let depth = w.depth();
-    let n = hi - lo;
-    type StreamSlot = Mutex<Option<Result<ShardStream, EngineError>>>;
-    let streams: Vec<Vec<StreamSlot>> = (0..n)
-        .map(|_| (0..shards).map(|_| Mutex::new(None)).collect())
-        .collect();
-    let remaining: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(shards)).collect();
-    let started: Vec<Mutex<Option<Instant>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let answers: Vec<Mutex<Option<ShardedAnswer>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queue = &queue;
-            let (streams, remaining, started, answers) = (&streams, &remaining, &started, &answers);
-            let (requests, latency) = (&requests, &latency);
-            let worker_shards = registry.histogram(&format!("serve.worker.{wid}.shard_seconds"));
-            scope.spawn(move || {
-                let _guard = CloseOnPanic(queue);
-                while let Some(task) = queue.pop() {
-                    let (i, s) = (task / shards, task % shards);
-                    started[i]
-                        .lock()
-                        .expect("request start lock")
-                        .get_or_insert_with(Instant::now);
-                    let t0 = Instant::now();
-                    let stream = pin.eval_shard(
-                        ShardId(s as u32),
-                        &w.queries[w.schedule[lo + i]],
-                        depth,
-                        w.k,
-                    );
-                    worker_shards.record_duration(t0.elapsed());
-                    *streams[i][s].lock().expect("stream slot lock") = Some(stream);
-                    if remaining[i].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let per_shard = streams[i]
-                            .iter()
-                            .enumerate()
-                            .map(|(si, slot)| {
-                                let outcome = slot
-                                    .lock()
-                                    .expect("stream slot lock")
-                                    .take()
-                                    .expect("every shard slot resolves before gather");
-                                (ShardId(si as u32), outcome)
-                            })
-                            .collect();
-                        let answer = pin.gather(per_shard, w.k).expect("churn request evaluates");
-                        let t0 = started[i]
-                            .lock()
-                            .expect("request start lock")
-                            .expect("request start recorded before gather");
-                        latency.record_duration(t0.elapsed());
-                        requests.inc();
-                        *answers[i].lock().expect("answer slot lock") = Some(answer);
-                    }
-                }
-            });
-        }
-        for task in 0..n * shards {
-            if !queue.push(task) {
-                break; // a worker panicked; the scope join re-panics below
-            }
-        }
-        queue.close();
-    });
-    answers
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("answer slot lock")
-                .expect("every admitted request resolves")
-        })
-        .collect()
+    batches
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use simvid_core::EngineConfig;
+    use crate::serve::ExecutorConfig;
+    use crate::shard::{build_corpus, run_corpus, CorpusConfig, CorpusWorkload};
     use simvid_obs::Registry;
-    use simvid_picture::{CacheConfig, LiveConfig, ScoringConfig};
+    use simvid_picture::LiveVideoDb;
     use std::sync::Arc;
 
-    fn config() -> ChurnConfig {
-        ChurnConfig {
+    fn config() -> CorpusConfig {
+        CorpusConfig {
             videos: 5,
             shots: 10,
             requests: 18,
             batches: 2,
-            ..ChurnConfig::default()
+            ..CorpusConfig::default()
         }
     }
 
-    fn live(w: &ChurnWorkload, cfg: &ChurnConfig) -> LiveVideoDb {
+    fn live(w: &CorpusWorkload, cfg: &CorpusConfig) -> LiveVideoDb {
         LiveVideoDb::new(
             w.store.clone(),
-            LiveConfig {
-                shards: cfg.shards,
-                replicas: cfg.replicas,
-                scoring: ScoringConfig::default(),
-                engine: EngineConfig::default(),
-                cache: CacheConfig::with_capacity(cfg.cache_capacity),
-            },
+            cfg.live_config(),
             Arc::new(Registry::new()),
         )
     }
@@ -444,8 +91,8 @@ mod tests {
     #[test]
     fn build_is_deterministic_and_batches_are_valid() {
         let cfg = config();
-        let a = build_churn(&cfg);
-        let b = build_churn(&cfg);
+        let a = build_corpus(&cfg);
+        let b = build_corpus(&cfg);
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.batches.len(), b.batches.len());
         for ((pa, opa), (pb, opb)) in a.batches.iter().zip(&b.batches) {
@@ -466,11 +113,11 @@ mod tests {
     #[test]
     fn sequential_run_advances_epochs() {
         let cfg = config();
-        let w = build_churn(&cfg);
+        let w = build_corpus(&cfg);
         let db = live(&w, &cfg);
-        let run = run_schedule_churn(&w, &db);
+        let run = run_corpus(&w, &db, &ExecutorConfig::with_workers(0));
         assert_eq!(run.answers.len(), w.schedule.len());
-        let epochs = run.epochs();
+        let epochs = run.served_epochs();
         assert!(epochs.len() > 1, "schedule crosses at least one mutation");
         assert!(epochs.windows(2).all(|w| w[0] < w[1]), "epochs increase");
         assert_eq!(run.complete(), w.schedule.len(), "no faults, no degrades");
@@ -479,24 +126,15 @@ mod tests {
     #[test]
     fn concurrent_run_is_bit_identical_to_sequential() {
         let cfg = config();
-        let w = build_churn(&cfg);
-        let seq_db = live(&w, &cfg);
-        let seq = run_schedule_churn(&w, &seq_db);
+        let w = build_corpus(&cfg);
+        let seq = run_corpus(&w, &live(&w, &cfg), &ExecutorConfig::with_workers(0));
         for workers in [1, 2, 4] {
-            let db = live(&w, &cfg);
-            let conc = run_schedule_churn_concurrent(
-                &w,
-                &db,
-                &ExecutorConfig {
-                    workers,
-                    queue_depth: 2 * workers,
-                },
+            let conc = run_corpus(&w, &live(&w, &cfg), &ExecutorConfig::with_workers(workers));
+            assert_eq!(
+                conc.epochs, seq.epochs,
+                "workers={workers}: epochs must align"
             );
-            assert_eq!(conc.answers.len(), seq.answers.len());
-            for ((ea, aa), (eb, ab)) in seq.answers.iter().zip(&conc.answers) {
-                assert_eq!(ea, eb, "workers={workers}: epochs must align");
-                assert_eq!(aa.ranked(), ab.ranked(), "workers={workers}");
-            }
+            assert_eq!(conc.answers, seq.answers, "workers={workers}");
         }
     }
 }

@@ -18,6 +18,9 @@
 //!   the performance-comparison formulas.
 //! * [`serve`] — a repeated-traffic serving workload (Zipf-skewed top-`k`
 //!   requests over a fixed query pool), for the cross-query cache.
+//! * [`shard`] — the same traffic over a multi-video corpus served by a
+//!   sharded, replicated `LiveVideoDb`, with [`churn`]'s mutation batches
+//!   optionally interleaved; one runner drives it.
 
 pub mod casablanca;
 pub mod churn;
@@ -26,6 +29,5 @@ pub mod queries;
 pub mod randomlists;
 pub mod randomtables;
 pub mod randomvideo;
-pub mod replica;
 pub mod serve;
 pub mod shard;

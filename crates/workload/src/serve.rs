@@ -351,7 +351,9 @@ fn resolve_request<P: AtomicProvider>(
 /// bounded request queue may hold (the producer blocks when it is full).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
-    /// Worker threads in the fixed-size pool (at least 1).
+    /// Worker threads in the fixed-size pool. `0` makes
+    /// [`crate::shard::run_corpus`] answer inline on the calling thread;
+    /// the single-video pool runners treat it as 1.
     pub workers: usize,
     /// Bounded queue capacity (at least 1).
     pub queue_depth: usize,
@@ -359,13 +361,12 @@ pub struct ExecutorConfig {
 
 impl ExecutorConfig {
     /// An executor of `workers` threads with the default queue depth of
-    /// twice the pool size.
+    /// twice the pool size (at least 1).
     #[must_use]
     pub fn with_workers(workers: usize) -> ExecutorConfig {
-        let workers = workers.max(1);
         ExecutorConfig {
             workers,
-            queue_depth: 2 * workers,
+            queue_depth: (2 * workers).max(1),
         }
     }
 }

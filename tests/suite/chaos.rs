@@ -209,6 +209,7 @@ fn faulted_applies_are_all_or_nothing_and_leave_the_store_untouched() {
         scoring: ScoringConfig::default(),
         engine: EngineConfig::default(),
         cache: CacheConfig::default(),
+        ..LiveConfig::default()
     };
     // No latency injection: the suite must not depend on wall clocks.
     let plan = FaultPlan {

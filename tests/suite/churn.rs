@@ -4,61 +4,27 @@
 //! The mutation layer's contract is that incrementality changes *what is
 //! recomputed*, never *answers*: after any interleaving of mutation
 //! batches and queries, the live store's top-`k` must equal, bit for bit
-//! (ranks, scores, ties), a from-scratch rebuild of the corpus replayed
-//! to the same epoch — for every shard count × replica count topology.
-//! On top of equivalence, the suite proves the concurrency contracts:
-//! the churn schedule through the worker-pool executor is bit-identical
-//! at every worker count, and a hot-key storm straddling an invalidation
-//! recomputes the mutated video's tables exactly once (the singleflight
-//! survives the generation bump).
+//! (ranks, scores, ties), the 1-shard replay oracle — a from-scratch
+//! rebuild of the corpus replayed to the same epoch — for every shard
+//! count × replica count topology. On top of equivalence, the suite proves
+//! the concurrency contracts: the churn schedule through the worker-pool
+//! executor is bit-identical at every worker count (the full topology
+//! sweep is the corpus matrix of `simvid_tests::corpus`, run by the
+//! `sharded` and `replicated` suites), and a hot-key storm straddling an
+//! invalidation recomputes the mutated video's tables exactly once (the
+//! singleflight survives the generation bump).
 
 use proptest::prelude::*;
-use simvid_core::{EngineConfig, ShardHit};
 use simvid_htl::parse;
-use simvid_model::{CorpusOp, VideoBuilder, VideoId, VideoStore, VideoTree};
+use simvid_model::{CorpusOp, VideoId, VideoStore};
 use simvid_obs::Registry;
-use simvid_picture::{CacheConfig, LiveConfig, LiveVideoDb, ScoringConfig, ShardedVideoDb};
+use simvid_picture::{LiveConfig, LiveVideoDb};
 use simvid_resilience::FaultPlan;
-use simvid_workload::churn::{
-    build_churn, run_schedule_churn, run_schedule_churn_concurrent, ChurnConfig,
-};
+use simvid_tests::corpus::{batch_from, oracle_top_k, store_from, video};
 use simvid_workload::serve::ExecutorConfig;
+use simvid_workload::shard::{build_corpus, run_corpus, CorpusConfig};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A video whose shots follow `pattern`: `0` — no match, `1` — a person
-/// without a gun (partial match), `2` — an armed person (full match).
-/// Three similarity levels make ties the common case, so the oracle
-/// comparison exercises the tie-break, not just the scores.
-fn video(title: &str, pattern: &[u8]) -> VideoTree {
-    let mut b = VideoBuilder::new(title);
-    b.set_level_names(["video", "shot"]);
-    for (i, &kind) in pattern.iter().enumerate() {
-        b.child(format!("shot{i}"));
-        match kind {
-            0 => {
-                b.object(2, "horse", None);
-            }
-            1 => {
-                b.object(1, "person", None);
-            }
-            _ => {
-                let o = b.object(1, "person", None);
-                b.relationship("holds_gun", [o]);
-            }
-        }
-        b.up();
-    }
-    b.finish().unwrap()
-}
-
-fn store_from(patterns: &[Vec<u8>]) -> VideoStore {
-    let mut store = VideoStore::new();
-    for (i, p) in patterns.iter().enumerate() {
-        store.add(video(&format!("v{i}"), p));
-    }
-    store
-}
 
 fn live(store: VideoStore, shards: u32, replicas: u32) -> LiveVideoDb {
     LiveVideoDb::new(
@@ -66,78 +32,10 @@ fn live(store: VideoStore, shards: u32, replicas: u32) -> LiveVideoDb {
         LiveConfig {
             shards,
             replicas,
-            scoring: ScoringConfig::default(),
-            engine: EngineConfig::default(),
-            cache: CacheConfig::default(),
+            ..LiveConfig::default()
         },
         Arc::new(Registry::new()),
     )
-}
-
-/// The full-rebuild oracle: a frozen partition of `store`, evaluated from
-/// scratch on its own registry.
-fn frozen_top_k(
-    store: &VideoStore,
-    shards: u32,
-    q: &simvid_htl::Formula,
-    k: usize,
-) -> Vec<ShardHit> {
-    let db = ShardedVideoDb::partition(
-        store,
-        shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::default(),
-        Arc::new(Registry::new()),
-    );
-    let answer = db.top_k(q, 1, k).expect("rebuild oracle evaluates");
-    assert!(answer.is_complete(), "fault-free rebuild must not degrade");
-    answer.ranked().to_vec()
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A deterministic 1–6 shot pattern from the seed stream.
-fn pattern_from(rng: &mut u64) -> Vec<u8> {
-    let len = 1 + (splitmix(rng) % 6) as usize;
-    (0..len).map(|_| (splitmix(rng) % 3) as u8).collect()
-}
-
-/// One valid mutation batch (1–3 ops) from the seed stream, mirroring the
-/// store's liveness rules via the local `live`/`next_id` simulation:
-/// updates and removes pick live ids, removal keeps at least one video.
-fn batch_from(rng: &mut u64, live: &mut Vec<u32>, next_id: &mut u32) -> Vec<CorpusOp> {
-    let op_count = 1 + (splitmix(rng) % 3) as usize;
-    let mut ops = Vec::with_capacity(op_count);
-    for _ in 0..op_count {
-        match splitmix(rng) % 3 {
-            1 if !live.is_empty() => {
-                let pick = live[(splitmix(rng) as usize) % live.len()];
-                let p = pattern_from(rng);
-                ops.push(CorpusOp::Update(
-                    VideoId(pick),
-                    video(&format!("u{pick}"), &p),
-                ));
-            }
-            2 if live.len() > 1 => {
-                let ix = (splitmix(rng) as usize) % live.len();
-                ops.push(CorpusOp::Remove(VideoId(live.swap_remove(ix))));
-            }
-            _ => {
-                let p = pattern_from(rng);
-                ops.push(CorpusOp::Ingest(video(&format!("i{next_id}"), &p)));
-                live.push(*next_id);
-                *next_id += 1;
-            }
-        }
-    }
-    ops
 }
 
 proptest! {
@@ -168,8 +66,7 @@ proptest! {
                         let ops = batch_from(&mut rng, &mut live_ids, &mut next_id);
                         db.apply(&ops).expect("generated batch is valid");
                     }
-                    let rebuilt = db.replay_to(db.epoch());
-                    let oracle = frozen_top_k(&rebuilt, shards, &q, k);
+                    let oracle = oracle_top_k(&db.replay_to(db.epoch()), &q, k);
                     let pin = db.pin();
                     prop_assert_eq!(pin.epoch(), db.epoch());
                     let got = pin.top_k(&q, 1, k).unwrap();
@@ -185,51 +82,51 @@ proptest! {
     }
 }
 
-/// The churn schedule through the concurrent `(request, shard)` executor
-/// with mid-schedule mutations is bit-identical — epochs and rankings —
-/// to the sequential runner at 1, 2, 4 and 8 workers.
+/// The churn schedule of the corpus workload through the single runner
+/// with mid-schedule mutations is bit-identical — epochs, answers and
+/// replica counters — inline and at 1, 2, 4 and 8 workers.
 #[test]
 fn concurrent_churn_is_bit_identical_at_every_worker_count() {
-    let cfg = ChurnConfig {
+    let cfg = CorpusConfig {
         videos: 5,
         shots: 12,
         requests: 24,
         batches: 3,
         shards: 2,
         replicas: 2,
-        ..ChurnConfig::default()
+        ..CorpusConfig::default()
     };
-    let w = build_churn(&cfg);
-    let fresh = || {
-        LiveVideoDb::new(
+    let w = build_corpus(&cfg);
+    let run = |workers| {
+        let db = LiveVideoDb::new(
             w.store.clone(),
-            LiveConfig {
-                shards: cfg.shards,
-                replicas: cfg.replicas,
-                scoring: ScoringConfig::default(),
-                engine: EngineConfig::default(),
-                cache: CacheConfig::with_capacity(cfg.cache_capacity),
-            },
+            cfg.live_config(),
             Arc::new(Registry::new()),
-        )
+        );
+        let run = run_corpus(&w, &db, &ExecutorConfig::with_workers(workers));
+        let snap = db.registry().snapshot();
+        let counters = (
+            snap.counter("replica.failover"),
+            snap.counter("replica.exhausted"),
+        );
+        (run, counters)
     };
-    let seq = run_schedule_churn(&w, &fresh());
+    let (seq, seq_counters) = run(0);
     assert!(
-        seq.epochs().len() > 1,
+        seq.served_epochs().len() > 1,
         "the schedule must cross at least one mutation"
     );
     for workers in [1usize, 2, 4, 8] {
-        let conc =
-            run_schedule_churn_concurrent(&w, &fresh(), &ExecutorConfig::with_workers(workers));
-        assert_eq!(conc.answers.len(), seq.answers.len());
-        for (r, ((se, sa), (ce, ca))) in seq.answers.iter().zip(&conc.answers).enumerate() {
-            assert_eq!(se, ce, "workers={workers} request={r}: epochs must align");
-            assert_eq!(
-                sa.ranked(),
-                ca.ranked(),
-                "workers={workers} request={r}: rankings must be bit-identical"
-            );
-        }
+        let (conc, counters) = run(workers);
+        assert_eq!(
+            conc.epochs, seq.epochs,
+            "workers={workers}: epochs must align"
+        );
+        assert_eq!(conc.answers, seq.answers, "workers={workers}: answers");
+        assert_eq!(
+            counters, seq_counters,
+            "workers={workers}: replica counters"
+        );
     }
 }
 
@@ -316,7 +213,7 @@ fn pinned_snapshots_answer_their_own_epoch_after_later_mutations() {
     let db = live(store_from(&patterns), 2, 1);
     let old_pin = db.pin();
     let old_epoch = old_pin.epoch();
-    let old_oracle = frozen_top_k(&db.replay_to(old_epoch), 2, &q, 10);
+    let old_oracle = oracle_top_k(&db.replay_to(old_epoch), &q, 10);
     db.apply(&[
         CorpusOp::Remove(VideoId(0)),
         CorpusOp::Ingest(video("i3", &[2, 2, 2])),

@@ -1,8 +1,8 @@
 //! Replicated serving suite: circuit-breaker transition lawfulness, the
 //! failover rotation's algebra, schedule-independence of answers *and*
-//! traces under dead replicas, and the degradation ladder's bottom rung —
-//! a whole dead shard must collapse to exactly the unreplicated store's
-//! sound degraded answer.
+//! failover counters under dead replicas, and the degradation ladder's
+//! bottom rung — a whole dead shard must collapse to exactly the
+//! single-replica corpus's sound degraded answer.
 //!
 //! The breaker is deterministic (fuel-based probing, no wall clocks), so
 //! the property tests here are full model checks, not statistical
@@ -15,34 +15,28 @@
 //! any      --record(ok)----------------->  Closed
 //! ```
 //!
-//! and nothing else.
+//! and nothing else. The fault worlds run through the corpus matrix of
+//! `simvid_tests::corpus`, shared with the `sharded` and `churn` suites.
 
 use proptest::prelude::*;
-use simvid_core::EngineConfig;
 use simvid_obs::Registry;
-use simvid_picture::{
-    CacheConfig, PictureSystem, ReplicaId, ReplicatedVideoDb, ScoringConfig, ShardedAnswer,
-    ShardedVideoDb,
-};
+use simvid_picture::{FaultTarget, LiveVideoDb, ReplicaId, ShardId, ShardedAnswer};
 use simvid_resilience::{
-    failover_order, Admission, BreakerConfig, BreakerState, CircuitBreaker, FaultPlan,
-    FaultyProvider, HedgePolicy, RetryPolicy,
+    failover_order, Admission, BreakerConfig, BreakerState, CircuitBreaker, FaultPlan, RetryPolicy,
 };
-use simvid_workload::replica::{run_schedule_replicated, run_schedule_replicated_concurrent};
+use simvid_tests::corpus::{check_matrix, World};
 use simvid_workload::serve::ExecutorConfig;
-use simvid_workload::shard::{
-    build_sharded, run_schedule_sharded, ShardedServeConfig, ShardedServeWorkload,
-};
+use simvid_workload::shard::{build_corpus, run_corpus, CorpusConfig, CorpusRun, CorpusWorkload};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn workload() -> ShardedServeWorkload {
-    build_sharded(&ShardedServeConfig {
+fn config() -> CorpusConfig {
+    CorpusConfig {
         videos: 5,
         shots: 12,
         requests: 16,
-        ..ShardedServeConfig::default()
-    })
+        ..CorpusConfig::default()
+    }
 }
 
 fn always_fail() -> FaultPlan {
@@ -62,35 +56,60 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-fn replicate<'a>(
-    w: &'a ShardedServeWorkload,
-    shards: u32,
+/// The frozen corpus workload at `replicas` replicas per video, with
+/// `target` failing every call, run inline.
+fn chaos_run(
+    w: &CorpusWorkload,
     replicas: u32,
-    registry: &Arc<Registry>,
-) -> ReplicatedVideoDb<'a, PictureSystem<'a>> {
-    ReplicatedVideoDb::partition(
-        &w.store,
-        shards,
+    target: Option<FaultTarget>,
+) -> (CorpusRun, LiveVideoDb) {
+    let cfg = CorpusConfig {
         replicas,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::default(),
-        registry.clone(),
-    )
+        ..config()
+    };
+    let db = LiveVideoDb::new(
+        w.store.clone(),
+        cfg.live_config(),
+        Arc::new(Registry::new()),
+    );
+    let db = match target {
+        Some(t) => db.with_read_faults(always_fail(), fast_retry(), t),
+        None => db,
+    };
+    (run_corpus(w, &db, &ExecutorConfig::with_workers(0)), db)
 }
 
-fn shard_reference<'a>(
-    w: &'a ShardedServeWorkload,
-    shards: u32,
-) -> ShardedVideoDb<'a, PictureSystem<'a>> {
-    ShardedVideoDb::partition(
-        &w.store,
-        shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::default(),
-        Arc::new(Registry::new()),
-    )
+/// FNV-1a over every answer of a run: ranking bits, completeness, and a
+/// degraded answer's `missing_bound` bits and failed shard ids.
+fn answers_digest(answers: &[ShardedAnswer]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: u64| {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(answers.len() as u64);
+    for a in answers {
+        eat(a.ranked().len() as u64);
+        for hit in a.ranked() {
+            eat(u64::from(hit.video.0));
+            eat(u64::from(hit.pos));
+            eat(hit.sim.act.to_bits());
+            eat(hit.sim.max.to_bits());
+        }
+        match a {
+            ShardedAnswer::Complete(_) => eat(0),
+            ShardedAnswer::Degraded(d) => {
+                eat(1);
+                eat(d.missing_bound.to_bits());
+                for (s, _) in &d.failed {
+                    eat(u64::from(s.0));
+                }
+            }
+        }
+    }
+    format!("{h:016x}")
 }
 
 /// One breaker interaction, drawn by proptest.
@@ -203,159 +222,79 @@ proptest! {
     }
 }
 
-/// With one replica of one shard dead, answers and failover traces are
-/// bit-identical across 1/2/4/8 workers and equal to the sequential
-/// runner's: the fault world is pure per `(shard, replica)`, so which
-/// worker interleaving tries (or is breaker-denied at) the dead replica
-/// cannot change what is consulted or who serves.
+/// With replica 0 of shard 0 dead, answers are bit-identical to the
+/// fault-free oracle and the `replica.failover` / `replica.exhausted`
+/// counters are equal across 0/1/2/4/8 workers, at every shard count and
+/// epoch: the fault world is pure per `(shard, replica)` and the rotation
+/// is pure per `(epoch, query, shard)`, so which worker interleaving tries
+/// (or is breaker-denied at) the dead replica cannot change who serves.
 #[test]
 fn dead_replica_run_is_bit_identical_across_worker_counts() {
-    let w = workload();
-    let registry = Arc::new(Registry::new());
-    let db = replicate(&w, 2, 3, &registry);
-    let victim = db
-        .shard_ids()
-        .find(|&s| !db.videos_in(s).is_empty())
-        .expect("corpus is non-empty");
-    let policy = fast_retry();
-    let db = db.map_providers(|rid, sid, _video, sys| {
-        let plan = if rid == ReplicaId(0) && sid == victim {
-            always_fail()
-        } else {
-            FaultPlan::quiet(0xDEAD_BEEF)
-        };
-        FaultyProvider::with_registry(sys, plan, policy, &registry)
-    });
-    let seq = run_schedule_replicated(&w, &db, |_| {});
-    assert_eq!(
-        seq.complete(),
-        w.schedule.len(),
-        "failover absorbs the kill"
-    );
-    assert!(seq.failovers() > 0, "the dead replica led some reads");
-    for workers in [1usize, 2, 4, 8] {
-        let conc = run_schedule_replicated_concurrent(
-            &w,
-            &db,
-            &ExecutorConfig {
-                workers,
-                queue_depth: 2 * workers,
-            },
-            |_| {},
-        );
-        for (a, b) in seq.answers.iter().zip(&conc.answers) {
-            assert_eq!(a.ranked(), b.ranked(), "workers={workers}");
-        }
-        assert_eq!(conc.traces, seq.traces, "workers={workers}");
-    }
+    let totals = check_matrix(World::DeadReplica, 1..=4, &[2], &[0, 1, 2, 4, 8]);
+    assert!(totals.failover > 0, "the dead replica led some reads");
+    assert_eq!(totals.exhausted, 0, "failover absorbs the kill");
 }
 
-/// The acceptance bit-identity: a schedule with one replica always
-/// failing ranks exactly as the fault-free plain sharded store — zero
-/// degraded answers, failover only.
+/// The acceptance bit-identity on the frozen corpus workload: a schedule
+/// with one replica of the victim shard always failing ranks exactly as
+/// the fault-free corpus — zero degraded answers, failover only.
 #[test]
 fn single_replica_kill_reproduces_the_fault_free_answers() {
-    let w = workload();
-    let reference = run_schedule_sharded(&w, &shard_reference(&w, 2));
-    let registry = Arc::new(Registry::new());
-    let db = replicate(&w, 2, 2, &registry);
-    let victim = db
-        .shard_ids()
-        .find(|&s| !db.videos_in(s).is_empty())
-        .expect("corpus is non-empty");
-    let policy = fast_retry();
-    let db = db.map_providers(|rid, sid, _video, sys| {
-        let plan = if rid == ReplicaId(0) && sid == victim {
-            always_fail()
-        } else {
-            FaultPlan::quiet(0xDEAD_BEEF)
-        };
-        FaultyProvider::with_registry(sys, plan, policy, &registry)
-    });
-    let run = run_schedule_replicated(&w, &db, |_| {});
+    let w = build_corpus(&config());
+    let (reference, _) = chaos_run(&w, 1, None);
+    let target = FaultTarget::Shard(ShardId(0), Some(ReplicaId(0)));
+    let (run, db) = chaos_run(&w, 2, Some(target));
     assert_eq!(run.degraded(), 0, "one dead replica must not degrade");
-    assert!(run.failovers() > 0, "the rotation made the corpse lead");
-    for (a, b) in run.answers.iter().zip(&reference.answers) {
-        assert_eq!(a.ranked(), b.ranked());
-    }
+    assert!(
+        db.registry()
+            .snapshot()
+            .counter("replica.failover")
+            .unwrap()
+            > 0,
+        "the rotation made the corpse lead"
+    );
+    assert_eq!(run.answers, reference.answers);
 }
 
-/// The degradation ladder's bottom rung: with *every* replica of a shard
-/// dead, each request degrades exactly as the unreplicated sharded store
-/// does under the same fault world — same surviving ranking, same
-/// `missing_bound` bits, same failed-shard set.
+/// The degradation ladder's bottom rung: with *every* replica of shard 0
+/// dead, each request degrades exactly as the single-replica corpus does
+/// under the same fault world — the oracle over the surviving videos, the
+/// same `missing_bound` bits, the same failed shard — at every shard
+/// count, worker count and epoch.
 #[test]
 fn whole_shard_kill_matches_the_unreplicated_degraded_answers() {
-    let w = workload();
-    let policy = fast_retry();
-    let scratch = Arc::new(Registry::new());
-    let plain = shard_reference(&w, 2);
-    let victim = plain
-        .shard_ids()
-        .find(|&s| !plain.videos_in(s).is_empty())
-        .expect("corpus is non-empty");
-    let sharded = plain.map_providers(|sid, _video, sys| {
-        let plan = if sid == victim {
-            always_fail()
-        } else {
-            FaultPlan::quiet(0xDEAD_BEEF)
-        };
-        FaultyProvider::with_registry(sys, plan, policy, &scratch)
-    });
-    let reference = run_schedule_sharded(&w, &sharded);
-    let registry = Arc::new(Registry::new());
-    let db = replicate(&w, 2, 3, &registry).map_providers(|_rid, sid, _video, sys| {
-        let plan = if sid == victim {
-            always_fail()
-        } else {
-            FaultPlan::quiet(0xDEAD_BEEF)
-        };
-        FaultyProvider::with_registry(sys, plan, policy, &registry)
-    });
-    let run = run_schedule_replicated(&w, &db, |_| {});
-    assert_eq!(run.degraded(), w.schedule.len(), "every request degrades");
-    assert_eq!(run.answers.len(), reference.answers.len());
-    for (a, b) in run.answers.iter().zip(&reference.answers) {
-        match (a, b) {
-            (ShardedAnswer::Degraded(d), ShardedAnswer::Degraded(e)) => {
-                assert_eq!(d.ranked, e.ranked, "surviving rankings diverge");
-                assert_eq!(
-                    d.missing_bound.to_bits(),
-                    e.missing_bound.to_bits(),
-                    "missing bounds diverge: {} vs {}",
-                    d.missing_bound,
-                    e.missing_bound
-                );
-                assert_eq!(d.failed.len(), e.failed.len());
-                assert_eq!(d.failed[0].0, e.failed[0].0, "different shard blamed");
-            }
-            _ => panic!("both runs must degrade every request"),
-        }
-    }
+    let totals = check_matrix(World::ShardKill, 1..=4, &[2], &[0, 1, 2, 4, 8]);
+    assert!(totals.exhausted > 0, "the victim shard was read and lost");
 }
 
-/// Hedging is deterministic: with zero primary fuel every leading read
-/// exhausts its budget and hedges to the next candidate, the answers stay
-/// bit-identical to the un-hedged store, and two runs produce the same
-/// traces (no wall clocks anywhere in the policy).
+/// At one replica a dead shard trips its breaker: after the first failed
+/// reads the breaker opens and later reads skip the shard without calling
+/// its providers. The answers stay exactly those the corpus gave before
+/// the breaker reached one-replica shards (the digest was taken from the
+/// unreplicated store of that version on this schedule).
+#[test]
+fn dead_shard_opens_the_breaker_at_one_replica() {
+    let w = build_corpus(&config());
+    let (run, db) = chaos_run(&w, 1, Some(FaultTarget::Shard(ShardId(0), None)));
+    assert_eq!(run.degraded(), w.schedule.len());
+    let snap = db.registry().snapshot();
+    assert!(snap.counter("replica.breaker.skipped").unwrap() > 0);
+    assert!(snap.counter("replica.breaker.opened").unwrap() > 0);
+    assert_eq!(answers_digest(&run.answers), "23d1b674402d8c57");
+}
+
+/// Hedging is deterministic and answer-preserving: with zero primary fuel
+/// every leading read exhausts its budget and hedges — to the next
+/// replica, or at one replica to its own uncapped retry — the answers stay
+/// bit-identical to the oracle, and the hedge and failover counts are
+/// equal at every worker count (no wall clocks anywhere in the policy).
 #[test]
 fn zero_fuel_hedging_is_deterministic_and_answer_preserving() {
-    let w = workload();
-    let reference = run_schedule_sharded(&w, &shard_reference(&w, 2));
-    let registry = Arc::new(Registry::new());
-    let db = replicate(&w, 2, 2, &registry).with_hedge(HedgePolicy::with_fuel(0));
-    let first = run_schedule_replicated(&w, &db, |_| {});
-    let second = run_schedule_replicated(&w, &db, |_| {});
-    assert_eq!(first.complete(), w.schedule.len());
+    let totals = check_matrix(World::ZeroFuelHedge, 1..=4, &[1, 2], &[0, 1, 2, 4, 8]);
+    assert!(totals.hedges > 0, "zero fuel must force hedged reads");
     assert!(
-        first.traces.iter().flatten().any(|t| t.hedged),
-        "zero fuel must force hedged reads"
+        totals.failover > 0,
+        "a hedged primary fails over to its sibling"
     );
-    for (a, b) in first.answers.iter().zip(&reference.answers) {
-        assert_eq!(a.ranked(), b.ranked(), "hedging changed an answer");
-    }
-    assert_eq!(first.traces, second.traces, "hedging must be replayable");
-    for (a, b) in first.answers.iter().zip(&second.answers) {
-        assert_eq!(a.ranked(), b.ranked());
-    }
+    assert_eq!(totals.exhausted, 0);
 }

@@ -1,101 +1,56 @@
-//! Sharded scatter-gather retrieval suite: bit-identity with the
-//! unsharded oracle, the threshold algorithm's early-termination
-//! invariant, and the degraded-shard soundness contract.
+//! Corpus scatter-gather suite: bit-identity with the unsharded oracle,
+//! the threshold algorithm's early-termination invariant, and the
+//! degraded-shard soundness contract.
 //!
 //! The partition's contract is that sharding changes *where* work runs,
-//! never *answers*: for every shard count the merged top-`k` must equal
-//! the flat scan's k-prefix bit-for-bit, under adversarial score ties
-//! (the workloads here draw similarities from a three-value alphabet, so
-//! most hits tie and only the `global_rank` tie-break orders them). On
-//! top of equivalence, the suite proves the coordinator's stopping rule —
-//! a stream is abandoned only once the k-th best score dominates its
-//! remaining upper bound — and the degraded path's soundness: with a
-//! shard down, every surviving ground-truth hit still appears and every
-//! missing one is provably attributable to the failed shard below the
-//! answer's missing-score bound.
+//! never *answers*: for every shard count, replica count and worker count
+//! the merged top-`k` must equal the 1-shard replay oracle's k-prefix
+//! bit-for-bit, under adversarial score ties (the corpora here draw
+//! similarities from a three-value alphabet, so most hits tie and only the
+//! `global_rank` tie-break orders them). The topology sweep is the corpus
+//! matrix of `simvid_tests::corpus`, shared with the `replicated` and
+//! `churn` suites. On top of equivalence, the suite proves the
+//! coordinator's stopping rule — a stream is abandoned only once the k-th
+//! best score dominates its remaining upper bound — and the degraded
+//! path's soundness: with a shard down, the answer is exactly the oracle
+//! over the surviving videos, so every surviving ground-truth hit still
+//! appears and every missing one is attributable to the failed shard below
+//! the answer's missing-score bound.
 
 use proptest::prelude::*;
-use simvid_core::{global_rank, merge_shard_streams, EngineConfig, ShardHit, ShardStream, Sim};
+use simvid_core::{global_rank, merge_shard_streams, ShardHit, ShardStream, Sim};
 use simvid_htl::parse;
-use simvid_model::{VideoBuilder, VideoId, VideoStore, VideoTree};
+use simvid_model::VideoId;
 use simvid_obs::Registry;
-use simvid_picture::{
-    shard_of, CacheConfig, PictureSystem, ScoringConfig, ShardedAnswer, ShardedVideoDb,
-};
-use simvid_resilience::{FaultPlan, FaultyProvider, RetryPolicy};
-use simvid_workload::serve::ExecutorConfig;
-use simvid_workload::shard::{
-    build_sharded, run_schedule_sharded, run_schedule_sharded_concurrent, ShardedServeConfig,
-};
+use simvid_picture::{LiveConfig, LiveVideoDb};
+use simvid_tests::corpus::{check_matrix, oracle_top_k, store_from, World};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// A video whose shots follow `pattern`: `0` — no match at all, `1` — a
-/// person without a gun (partial match, act 1 of 2), `2` — an armed
-/// person (full match, act 2 of 2). Three similarity levels over many
-/// shots make ties the common case, which is exactly what the
-/// `global_rank` tie-break (video id, then position) must untangle
-/// identically on the sharded and unsharded paths.
-fn video(title: &str, pattern: &[u8]) -> VideoTree {
-    let mut b = VideoBuilder::new(title);
-    b.set_level_names(["video", "shot"]);
-    for (i, &kind) in pattern.iter().enumerate() {
-        b.child(format!("shot{i}"));
-        match kind {
-            0 => {
-                b.object(2, "horse", None);
-            }
-            1 => {
-                b.object(1, "person", None);
-            }
-            _ => {
-                let o = b.object(1, "person", None);
-                b.relationship("holds_gun", [o]);
-            }
-        }
-        b.up();
-    }
-    b.finish().unwrap()
-}
-
-fn store_from(patterns: &[Vec<u8>]) -> VideoStore {
-    let mut store = VideoStore::new();
-    for (i, p) in patterns.iter().enumerate() {
-        store.add(video(&format!("v{i}"), p));
-    }
-    store
-}
-
-fn partition(store: &VideoStore, shards: u32) -> ShardedVideoDb<'_, PictureSystem<'_>> {
-    ShardedVideoDb::partition(
-        store,
-        shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::default(),
-        Arc::new(Registry::new()),
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole equivalence, property-tested: any corpus, any shard
-    /// count in 1..=8, any `k`, under heavy ties — the scatter-gather
-    /// answer is the unsharded scan's k-prefix, bit for bit.
+    /// count in 1..=8, one or two replicas, any `k`, under heavy ties —
+    /// the scatter-gather answer is the 1-shard replay oracle's k-prefix,
+    /// bit for bit.
     #[test]
     fn sharded_top_k_equals_unsharded_oracle(
         patterns in prop::collection::vec(prop::collection::vec(0u8..3, 1..12), 1..10),
         shards in 1u32..=8,
+        replicas in 1u32..=2,
         k in 0usize..=24,
     ) {
         let store = store_from(&patterns);
-        let db = partition(&store, shards);
         let q = parse("exists x . person(x) and holds_gun(x)").unwrap();
-        let oracle = db.top_k_unsharded(&q, 1, k).unwrap();
-        let answer = db.top_k(&q, 1, k).unwrap();
+        let oracle = oracle_top_k(&store, &q, k);
+        let db = LiveVideoDb::new(
+            store,
+            LiveConfig { shards, replicas, ..LiveConfig::default() },
+            Arc::new(Registry::new()),
+        );
+        let answer = db.pin().top_k(&q, 1, k).unwrap();
         prop_assert!(answer.is_complete(), "fault-free run must not degrade");
-        prop_assert_eq!(answer.ranked(), &oracle[..], "shards={} k={}", shards, k);
+        prop_assert_eq!(answer.ranked(), &oracle[..], "shards={} replicas={} k={}", shards, replicas, k);
     }
 
     /// The coordinator's stopping rule, property-tested directly on the
@@ -198,138 +153,28 @@ fn merge_consumes_a_stream_while_its_bound_dominates() {
     assert_eq!(stats.candidates_pruned, 3);
 }
 
-/// Degraded-shard soundness end to end: with one shard's providers
-/// failing every call, every request degrades (never aborts), names
-/// exactly the victim, keeps every surviving ground-truth hit verbatim,
-/// and bounds everything missing by the answer's `missing_bound`.
+/// Degraded-shard soundness end to end, at one replica per video (the
+/// victim-shard chaos world): with shard 0's providers failing every call,
+/// every request whose victim holds videos degrades (never aborts), names
+/// exactly the victim, and answers exactly the oracle over the surviving
+/// videos with the formula maximum as its missing-score bound — at every
+/// shard count, worker count and epoch.
 #[test]
 fn degraded_answers_are_sound_over_surviving_shards() {
-    let patterns: Vec<Vec<u8>> = vec![
-        vec![0, 2, 1, 2],
-        vec![2, 2],
-        vec![1, 0, 2],
-        vec![2],
-        vec![0, 1, 2, 2, 1],
-        vec![2, 0, 2],
-    ];
-    let store = store_from(&patterns);
-    let shards = 3u32;
-    let truth_db = partition(&store, shards);
-    let q = parse("exists x . person(x) and holds_gun(x)").unwrap();
-    let k = 7;
-    let truth = truth_db.top_k_unsharded(&q, 1, k).unwrap();
-
-    let registry = Arc::new(Registry::new());
-    let plain = ShardedVideoDb::partition(
-        &store,
-        shards,
-        &ScoringConfig::default(),
-        EngineConfig::default(),
-        CacheConfig::default(),
-        Arc::clone(&registry),
-    );
-    let victim = plain
-        .shard_ids()
-        .find(|&s| !plain.videos_in(s).is_empty())
-        .expect("corpus is non-empty");
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
-    let db = plain.map_providers(|sid, _video, sys| {
-        let plan = if sid == victim {
-            FaultPlan {
-                seed: 7,
-                error_rate: 1.0,
-                panic_rate: 0.0,
-                latency_rate: 0.0,
-                latency: Duration::ZERO,
-            }
-        } else {
-            FaultPlan::quiet(7)
-        };
-        FaultyProvider::with_registry(sys, plan, policy, &registry)
-    });
-
-    let answer = db.top_k(&q, 1, k).unwrap();
-    let ShardedAnswer::Degraded(d) = answer else {
-        panic!("a failing shard must degrade the answer");
-    };
+    let totals = check_matrix(World::ShardKill, 1..=4, &[1], &[0, 1, 2, 4, 8]);
+    assert!(totals.exhausted > 0, "the victim shard was read and lost");
     assert_eq!(
-        d.failed.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-        vec![victim],
-        "exactly the victim shard is reported failed"
-    );
-    assert!(
-        d.missing_bound.is_finite(),
-        "surviving hits pin down the formula maximum"
-    );
-    for hit in &truth {
-        let present = d.ranked.iter().any(|h| {
-            h.video == hit.video && h.pos == hit.pos && h.sim.act.to_bits() == hit.sim.act.to_bits()
-        });
-        if shard_of(hit.video, shards) == victim {
-            assert!(
-                present || hit.sim.act <= d.missing_bound,
-                "missing victim hit must be dominated by the bound"
-            );
-        } else {
-            // Removing a shard can only ever promote survivors, so a
-            // surviving shard's ground-truth hit must appear verbatim.
-            assert!(present, "surviving ground-truth hit dropped");
-        }
-    }
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter("shard.outcome.failed"), Some(1));
-    assert_eq!(
-        snap.counter("shard.outcome.ok"),
-        Some(u64::from(shards) - 1)
+        totals.failover, 0,
+        "a single replica has nothing to fail over to"
     );
 }
 
-/// Cross-crate end-to-end: the serving schedule through the concurrent
-/// `(request, shard)` executor fan-out is bit-identical to the
-/// sequential scatter loop and to the unsharded oracle, for every shard
-/// count × worker count combination.
+/// The fault-free matrix: the tie-heavy churn schedule through every
+/// shard count 1..=4 × replica count 1..=2 × worker count 0/1/2/4/8
+/// (0 answers inline) answers every request of every epoch exactly as the
+/// 1-shard replay oracle does, and never fails over.
 #[test]
 fn concurrent_sharded_serving_is_bit_identical_across_configurations() {
-    let cfg = ShardedServeConfig {
-        videos: 5,
-        shots: 16,
-        requests: 24,
-        ..ShardedServeConfig::default()
-    };
-    let w = build_sharded(&cfg);
-    for shards in [1u32, 3] {
-        let registry = Arc::new(Registry::new());
-        let db = ShardedVideoDb::partition(
-            &w.store,
-            shards,
-            &ScoringConfig::default(),
-            EngineConfig::default(),
-            CacheConfig::with_capacity(cfg.cache_capacity),
-            registry,
-        );
-        let oracle: Vec<Vec<ShardHit>> = w
-            .schedule
-            .iter()
-            .map(|&q| db.top_k_unsharded(&w.queries[q], w.depth(), w.k).unwrap())
-            .collect();
-        let seq = run_schedule_sharded(&w, &db);
-        assert_eq!(seq.complete(), w.schedule.len());
-        let seq_ranked: Vec<&[ShardHit]> = seq.answers.iter().map(|a| a.ranked()).collect();
-        assert_eq!(
-            seq_ranked,
-            oracle.iter().map(Vec::as_slice).collect::<Vec<_>>()
-        );
-        for workers in [2usize, 4] {
-            let run =
-                run_schedule_sharded_concurrent(&w, &db, &ExecutorConfig::with_workers(workers));
-            let ranked: Vec<&[ShardHit]> = run.answers.iter().map(|a| a.ranked()).collect();
-            assert_eq!(
-                ranked, seq_ranked,
-                "shards={shards} workers={workers} must match the sequential scatter"
-            );
-        }
-    }
+    let totals = check_matrix(World::FaultFree, 1..=4, &[1, 2], &[0, 1, 2, 4, 8]);
+    assert_eq!(totals.failover + totals.exhausted + totals.hedges, 0);
 }
