@@ -1218,7 +1218,9 @@ fn degraded_bounds(
 ///   and is dominated by the answer's `missing_bound`.
 ///
 /// The victim is the first shard with at least one video. `shard.*`,
-/// `replica.*` and `resilience.*` counters land in `registry`.
+/// `replica.*` and `resilience.*` counters land in `registry`; the row
+/// records this run's retries and give-ups as deltas, since other
+/// sections may share the registry.
 #[must_use]
 pub fn measure_shard_chaos(cfg: &CorpusConfig, registry: &Arc<Registry>) -> ShardChaosRow {
     let w = build_corpus(cfg);
@@ -1234,7 +1236,11 @@ pub fn measure_shard_chaos(cfg: &CorpusConfig, registry: &Arc<Registry>) -> Shar
         policy,
         FaultTarget::Shard(victim, None),
     );
+    let retries = registry.counter("resilience.retries");
+    let giveups = registry.counter("resilience.giveups");
+    let (r0, g0) = (retries.get(), giveups.get());
     let run = run_corpus(&w, &db, &ExecutorConfig::with_workers(0));
+    let (retries, giveups) = (retries.get() - r0, giveups.get() - g0);
     assert_eq!(run.answers.len(), w.schedule.len(), "schedule never aborts");
     let mut failed_per_request = 0usize;
     let mut failed_shard_is_victim = true;
@@ -1250,7 +1256,6 @@ pub fn measure_shard_chaos(cfg: &CorpusConfig, registry: &Arc<Registry>) -> Shar
         }
     }
     let (bounds_sound, missing_bound) = degraded_bounds(&run.answers, &truth, shards, victim);
-    let snap = registry.snapshot();
     ShardChaosRow {
         videos: cfg.videos,
         requests: run.answers.len(),
@@ -1263,8 +1268,8 @@ pub fn measure_shard_chaos(cfg: &CorpusConfig, registry: &Arc<Registry>) -> Shar
         failed_per_request,
         failed_shard_is_victim,
         bounds_sound,
-        giveups: snap.counter("resilience.giveups").unwrap_or(0),
-        retries: snap.counter("resilience.retries").unwrap_or(0),
+        giveups,
+        retries,
         missing_bound,
         elapsed: run.elapsed,
     }

@@ -20,7 +20,7 @@ use crate::{
 };
 use simvid_htl::{AtomicUnit, AttrFn, Formula, FormulaClass, LevelSpec};
 use simvid_model::VideoTree;
-use simvid_obs::{Counter, Histogram, Registry, Subscriber, Tracer};
+use simvid_obs::{Counter, Registry, RegistrySubscriber, Tracer};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -240,6 +240,16 @@ struct Work {
     threshold_updates: u64,
 }
 
+/// The engine's span names, hottest first: their `engine.span.*`
+/// histograms are resolved when the handles are.
+const ENGINE_SPANS: [&str; 5] = [
+    "atomic_fetch",
+    "eval",
+    "join",
+    "eventually_sweep",
+    "until_sweep",
+];
+
 /// The engine's metric handles in one [`Registry`] (namespace
 /// `engine.*`): nine work counters and the span subscriber with its five
 /// pre-registered histograms.
@@ -264,60 +274,12 @@ pub struct EngineHandles {
     threshold_updates: Arc<Counter>,
 }
 
-/// The engine's span subscriber: the span-name set is small and fixed, so
-/// durations fold into pre-registered histograms without a registry
-/// lookup on the hot path. Unexpected span names resolve through a lazy
-/// side map keyed by the `&'static str` name, so even they pay the
-/// formatted registry lookup only once per distinct name instead of
-/// allocating a fresh metric-name `String` per call.
-struct EngineSpans {
-    atomic_fetch: Arc<Histogram>,
-    join: Arc<Histogram>,
-    until_sweep: Arc<Histogram>,
-    eventually_sweep: Arc<Histogram>,
-    eval: Arc<Histogram>,
-    other: std::sync::Mutex<std::collections::HashMap<&'static str, Arc<Histogram>>>,
-    registry: Arc<Registry>,
-}
-
-impl Subscriber for EngineSpans {
-    fn on_exit(&self, name: &'static str, _depth: usize, elapsed: std::time::Duration) {
-        let h = match name {
-            "atomic_fetch" => &self.atomic_fetch,
-            "join" => &self.join,
-            "until_sweep" => &self.until_sweep,
-            "eventually_sweep" => &self.eventually_sweep,
-            "eval" => &self.eval,
-            other => {
-                let h = {
-                    let mut map = self.other.lock().expect("span map");
-                    Arc::clone(map.entry(other).or_insert_with(|| {
-                        self.registry.histogram(&format!("engine.span.{other}"))
-                    }))
-                };
-                h.record_duration(elapsed);
-                return;
-            }
-        };
-        h.record_duration(elapsed);
-    }
-}
-
 impl EngineHandles {
     /// Registers (or finds) every `engine.*` metric in `registry`.
     #[must_use]
     pub fn new(registry: Arc<Registry>) -> Arc<EngineHandles> {
-        let spans = EngineSpans {
-            atomic_fetch: registry.histogram("engine.span.atomic_fetch"),
-            join: registry.histogram("engine.span.join"),
-            until_sweep: registry.histogram("engine.span.until_sweep"),
-            eventually_sweep: registry.histogram("engine.span.eventually_sweep"),
-            eval: registry.histogram("engine.span.eval"),
-            other: std::sync::Mutex::new(std::collections::HashMap::new()),
-            registry: registry.clone(),
-        };
         Arc::new(EngineHandles {
-            tracer: Tracer::new(Arc::new(spans)),
+            tracer: RegistrySubscriber::tracer(registry.clone(), "engine", &ENGINE_SPANS),
             atomic_fetches: registry.counter("engine.atomic_fetches"),
             joins: registry.counter("engine.joins"),
             entries_processed: registry.counter("engine.entries_processed"),
@@ -359,12 +321,14 @@ impl EngineHandles {
 }
 
 /// Per-call evaluation controls threaded through the engine's recursion:
-/// the request [`Budget`] and, for resilient top-`k` calls, a slot where
+/// the request [`Budget`], whether this call runs the memo (see
+/// [`Engine::memo_runs`]) and, for resilient top-`k` calls, a slot where
 /// the pruned-conjunction path deposits salvageable partial state before
 /// returning a degradable error.
 #[derive(Clone, Copy)]
 struct Ctl<'c> {
     budget: &'c Budget,
+    memo: bool,
     salvage: Option<&'c RefCell<Option<Salvage>>>,
 }
 
@@ -373,10 +337,11 @@ struct Ctl<'c> {
 static UNLIMITED_BUDGET: Budget = Budget::unlimited();
 
 impl Ctl<'_> {
-    /// Controls that never interrupt and never salvage — the non-resilient
-    /// public entry points.
+    /// Controls that never interrupt, never memoize and never salvage —
+    /// the non-resilient public entry points set `memo` per plan.
     const UNLIMITED: Ctl<'static> = Ctl {
         budget: &UNLIMITED_BUDGET,
+        memo: false,
         salvage: None,
     };
 }
@@ -525,12 +490,24 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
         *self.work.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs one top-level evaluation: fresh work counts and memo, the
-    /// `eval` span around `run`, and one flush of the counts into the
-    /// registry afterwards (whatever `run` returned).
-    fn top_level<T>(&self, run: impl FnOnce() -> T) -> T {
+    /// Whether a top-level call on `plan` runs the memo: memoization is on
+    /// and some subformula occurs twice in the plan. Within one call a memo
+    /// key (node id, window) can only repeat if a node id repeats —
+    /// level-modal descents evaluate their body on disjoint child windows —
+    /// so without a repeated id the memo would be filled and probed but
+    /// never hit. Skipping it costs no lock, no hash and no map per video.
+    fn memo_runs(&self, plan: &Plan) -> bool {
+        self.config.memoize && plan.repeats_subformula()
+    }
+
+    /// Runs one top-level evaluation: fresh work counts (and a fresh memo
+    /// when `ctl` runs it), the `eval` span around `run`, and one flush of
+    /// the counts into the registry afterwards (whatever `run` returned).
+    fn top_level<T>(&self, ctl: Ctl<'_>, run: impl FnOnce() -> T) -> T {
         self.tally(|w| *w = Work::default());
-        self.memo.clear();
+        if ctl.memo {
+            self.memo.clear();
+        }
         let out = {
             let _eval = self.handles.tracer.span("eval");
             run()
@@ -583,7 +560,11 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
 
     fn eval_plan(&self, plan: &Plan, depth: u8) -> Result<SimilarityTable, EngineError> {
         let ctx = self.level_context(depth);
-        self.top_level(|| catch_eval(|| self.eval(plan.root(), ctx, Ctl::UNLIMITED)))
+        let ctl = Ctl {
+            memo: self.memo_runs(plan),
+            ..Ctl::UNLIMITED
+        };
+        self.top_level(ctl, || catch_eval(|| self.eval(plan.root(), ctx, ctl)))
             .map(unshare_table)
     }
 
@@ -719,9 +700,12 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
         let slot: RefCell<Option<Salvage>> = RefCell::new(None);
         let ctl = Ctl {
             budget,
+            memo: self.memo_runs(plan),
             salvage: Some(&slot),
         };
-        let result = self.top_level(|| catch_eval(|| self.top_k_list(plan.root(), ctx, k, ctl)));
+        let result = self.top_level(ctl, || {
+            catch_eval(|| self.top_k_list(plan.root(), ctx, k, ctl))
+        });
         match result {
             Ok(out) => Ok(TopKAnswer::Complete(top_k(&out, k))),
             Err(reason) if reason.is_degradable() => {
@@ -1028,16 +1012,17 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
     }
 
     /// Evaluates one plan node, answering from the memo cache when the
-    /// same (interned subformula, context) pair has been computed before.
-    /// Failed evaluations are never stored. The memo key is the node's
-    /// pre-interned id, so a lookup costs one hash of four integers.
+    /// call runs it and the same (interned subformula, context) pair has
+    /// been computed before. Failed evaluations are never stored. The memo
+    /// key is the node's pre-interned id, so a lookup costs one hash of
+    /// four integers.
     fn eval(
         &self,
         node: &Node,
         ctx: SeqContext,
         ctl: Ctl<'_>,
     ) -> Result<Arc<SimilarityTable>, EngineError> {
-        if !self.config.memoize {
+        if !ctl.memo {
             return self.eval_uncached(node, ctx, ctl);
         }
         let key = MemoCache::key(node.id, ctx);

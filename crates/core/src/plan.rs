@@ -16,6 +16,7 @@ use simvid_htl::{
     classify, free_attr_vars, free_obj_vars, is_pure, AtomicUnit, AttrFn, Formula, FormulaClass,
     FormulaId, LevelSpec,
 };
+use std::collections::HashSet;
 
 /// A formula compiled for evaluation. Build it once with [`Plan::new`] and
 /// evaluate it with [`crate::Engine::top_k_plan`] on any number of videos.
@@ -23,6 +24,7 @@ use simvid_htl::{
 pub struct Plan {
     root: Node,
     class: FormulaClass,
+    repeats: bool,
 }
 
 impl Plan {
@@ -30,10 +32,23 @@ impl Plan {
     /// as an [`AtomicUnit`], and classifies the whole formula.
     #[must_use]
     pub fn new(f: &Formula) -> Plan {
+        let root = Node::build(f);
+        let mut seen = HashSet::new();
+        let mut repeats = false;
+        root.for_each(&mut |n| repeats |= !seen.insert(n.id));
         Plan {
-            root: Node::build(f),
+            root,
             class: classify(f),
+            repeats,
         }
+    }
+
+    /// Whether some subformula occurs at two places in the plan (`p() and
+    /// eventually p()`): the only case in which the engine's
+    /// per-evaluation memo can answer a node from an earlier one.
+    #[must_use]
+    pub fn repeats_subformula(&self) -> bool {
+        self.repeats
     }
 
     /// The formula class of the planned formula.
@@ -86,6 +101,24 @@ pub(crate) enum Op {
 }
 
 impl Node {
+    /// Calls `visit` on this node and every node below it, pre-order.
+    fn for_each(&self, visit: &mut impl FnMut(&Node)) {
+        visit(self);
+        match &self.op {
+            Op::Unit(_) => {}
+            Op::And(g, h) | Op::Until(g, h) => {
+                g.for_each(visit);
+                h.for_each(visit);
+            }
+            Op::Next(g)
+            | Op::Eventually(g)
+            | Op::Exists(_, g)
+            | Op::Freeze { body: g, .. }
+            | Op::AtLevel { body: g, .. }
+            | Op::Not(g) => g.for_each(visit),
+        }
+    }
+
     fn build(f: &Formula) -> Node {
         if is_pure(f) {
             let unit = AtomicUnit::of(f);
@@ -128,19 +161,11 @@ mod tests {
     use simvid_htl::parse;
 
     fn units(n: &Node, out: &mut Vec<String>) {
-        match &n.op {
-            Op::Unit(u) => out.push(u.formula.to_string()),
-            Op::And(g, h) | Op::Until(g, h) => {
-                units(g, out);
-                units(h, out);
+        n.for_each(&mut |n| {
+            if let Op::Unit(u) = &n.op {
+                out.push(u.formula.to_string());
             }
-            Op::Next(g)
-            | Op::Eventually(g)
-            | Op::Exists(_, g)
-            | Op::Freeze { body: g, .. }
-            | Op::AtLevel { body: g, .. }
-            | Op::Not(g) => units(g, out),
-        }
+        });
     }
 
     #[test]
@@ -170,6 +195,24 @@ mod tests {
         // Both occurrences of `p()` share one memo key.
         assert_eq!(lhs.id, inner.id);
         assert_eq!(lhs.id, FormulaId::of(&parse("p()").unwrap()));
+    }
+
+    #[test]
+    fn repeats_are_reported_only_where_a_subformula_recurs() {
+        let plan = |q: &str| Plan::new(&parse(q).unwrap());
+        assert!(plan("p() and eventually p()").repeats_subformula());
+        assert!(
+            plan("at shot level (q() until r()) and next at shot level (q() until r())")
+                .repeats_subformula()
+        );
+        for q in [
+            "p()",
+            "p() and eventually q()",
+            "(exists x . moving(x)) until at shot level (exists x . moving(x) and p())",
+            "exists x . person(x) and eventually (exists y . near(x, y))",
+        ] {
+            assert!(!plan(q).repeats_subformula(), "{q}");
+        }
     }
 
     #[test]

@@ -11,15 +11,19 @@
 //! * [`Registry`] — a named collection of metrics. Handles
 //!   ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-backed atomics:
 //!   recording never takes the registry lock, and every handle is `Sync`,
-//!   so concurrently served requests can report freely.
+//!   so concurrently served requests can report freely. Counters and
+//!   histograms record into per-thread cache-line-padded cells that only
+//!   a read sums, so threads sharing a metric do not contend on it. A
+//!   name clash between metric kinds hands out a detached metric and
+//!   counts `obs.kind_clash`; it never panics.
 //! * [`Histogram`] — fixed-bucket latency histograms with explicit
-//!   underflow/overflow buckets and bucket-interpolated quantiles
-//!   (p50/p95/p99), good enough for regression gates without storing
-//!   samples.
+//!   underflow/overflow buckets, integer nano-unit sum/min/max and
+//!   bucket-interpolated quantiles (p50/p95/p99), good enough for
+//!   regression gates without storing samples.
 //! * [`Tracer`]/[`Subscriber`] — hierarchical span timing with a
 //!   pluggable subscriber. The default [`RegistrySubscriber`] folds span
-//!   durations into `<prefix>.span.<name>` histograms; a disabled tracer
-//!   costs one branch per span.
+//!   durations into `<prefix>.span.<name>` histograms resolved up front;
+//!   a disabled tracer costs one branch per span.
 //! * [`Snapshot`] — a point-in-time copy of a registry, renderable as
 //!   JSON (hand-rolled; this crate stays dependency-free) or as an
 //!   aligned text summary for terminal output.

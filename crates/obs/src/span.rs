@@ -10,9 +10,10 @@
 //! branch: no clock reads, no thread-local traffic — the hot paths can be
 //! instrumented unconditionally.
 
-use crate::metrics::Registry;
+use crate::metrics::{Histogram, Registry};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 thread_local! {
@@ -119,39 +120,74 @@ impl Drop for Span<'_> {
 /// a `<prefix>.span.<name>` latency histogram of a [`Registry`]. Depth is
 /// ignored — recursive spans of the same name aggregate together, which
 /// is what a per-operator cost profile wants.
+///
+/// The histograms of the span names given at construction are resolved
+/// once, so an exit records through a pre-registered handle with no
+/// registry lookup. Any other name resolves through a lazy side map keyed
+/// by the `&'static str` name: the formatted registry lookup happens once
+/// per distinct name, not once per span.
 pub struct RegistrySubscriber {
     registry: Arc<Registry>,
     prefix: &'static str,
+    known: Box<[(&'static str, Arc<Histogram>)]>,
+    other: Mutex<HashMap<&'static str, Arc<Histogram>>>,
 }
 
 impl RegistrySubscriber {
-    /// A subscriber recording into `registry` under `prefix`.
+    /// A subscriber recording into `registry` under `prefix`, with the
+    /// histograms of `names` registered up front (list the hottest first:
+    /// an exit scans them in order).
     #[must_use]
-    pub fn new(registry: Arc<Registry>, prefix: &'static str) -> RegistrySubscriber {
-        RegistrySubscriber { registry, prefix }
+    pub fn new(
+        registry: Arc<Registry>,
+        prefix: &'static str,
+        names: &[&'static str],
+    ) -> RegistrySubscriber {
+        let known = names
+            .iter()
+            .map(|&name| (name, registry.histogram(&span_metric(prefix, name))))
+            .collect();
+        RegistrySubscriber {
+            registry,
+            prefix,
+            known,
+            other: Mutex::new(HashMap::new()),
+        }
     }
 
     /// A ready-made tracer over this subscriber type.
     #[must_use]
-    pub fn tracer(registry: Arc<Registry>, prefix: &'static str) -> Tracer {
-        Tracer::new(Arc::new(RegistrySubscriber::new(registry, prefix)))
+    pub fn tracer(registry: Arc<Registry>, prefix: &'static str, names: &[&'static str]) -> Tracer {
+        Tracer::new(Arc::new(RegistrySubscriber::new(registry, prefix, names)))
     }
+
+    /// The histogram of a span name outside the up-front list.
+    fn other(&self, name: &'static str) -> Arc<Histogram> {
+        let mut other = self.other.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(
+            other
+                .entry(name)
+                .or_insert_with(|| self.registry.histogram(&span_metric(self.prefix, name))),
+        )
+    }
+}
+
+fn span_metric(prefix: &str, name: &str) -> String {
+    format!("{prefix}.span.{name}")
 }
 
 impl Subscriber for RegistrySubscriber {
     fn on_exit(&self, name: &'static str, _depth: usize, elapsed: Duration) {
-        // Metric names are a small closed set (one per instrumented
-        // operator), so the registry lookup's lock is uncontended and the
-        // handle cache below it is the registry's own BTreeMap.
-        let metric = format!("{}.span.{}", self.prefix, name);
-        self.registry.histogram(&metric).record_duration(elapsed);
+        match self.known.iter().find(|(n, _)| *n == name) {
+            Some((_, h)) => h.record_duration(elapsed),
+            None => self.other(name).record_duration(elapsed),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     struct Recording {
         events: Mutex<Vec<(String, usize, bool)>>,
@@ -209,7 +245,7 @@ mod tests {
     #[test]
     fn registry_subscriber_builds_span_histograms() {
         let registry = Arc::new(Registry::new());
-        let tracer = RegistrySubscriber::tracer(registry.clone(), "engine");
+        let tracer = RegistrySubscriber::tracer(registry.clone(), "engine", &["join"]);
         for _ in 0..3 {
             let _s = tracer.span("join");
         }
@@ -223,7 +259,7 @@ mod tests {
     #[test]
     fn spans_from_scoped_threads_all_land() {
         let registry = Arc::new(Registry::new());
-        let tracer = RegistrySubscriber::tracer(registry.clone(), "engine");
+        let tracer = RegistrySubscriber::tracer(registry.clone(), "engine", &[]);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let tracer = tracer.clone();

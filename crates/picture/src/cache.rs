@@ -230,7 +230,11 @@ impl AtomicCache {
             evictions: registry.counter("cache.evictions"),
             tables_resident: registry.gauge("cache.tables_resident"),
             bytes_resident: registry.gauge("cache.bytes_resident"),
-            tracer: RegistrySubscriber::tracer(registry.clone(), "cache"),
+            tracer: RegistrySubscriber::tracer(
+                registry.clone(),
+                "cache",
+                &["score", "compile", "coalesce_wait"],
+            ),
         }
     }
 

@@ -1020,6 +1020,14 @@ mod tests {
     }
 
     #[test]
+    fn pool_queries_repeat_no_subformula() {
+        // Every read of the pool therefore skips the engine's memo.
+        for f in query_pool() {
+            assert!(!simvid_core::Plan::new(&f).repeats_subformula(), "{f}");
+        }
+    }
+
+    #[test]
     fn resilient_fault_free_matches_plain_schedule() {
         let cfg = ServeConfig {
             shots: 12,
