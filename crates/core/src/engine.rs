@@ -426,7 +426,7 @@ impl<'a, P: AtomicProvider> Engine<'a, P> {
 
     /// Creates an engine reporting its `engine.*` metrics (work counters
     /// and per-operator span histograms) into a shared registry — e.g.
-    /// the process-wide registry `repro --metrics` emits. Resolves the
+    /// the registry a benchmark run snapshots. Resolves the
     /// metric handles on every call; use [`Engine::with_handles`] when
     /// building many engines on one registry.
     pub fn with_registry(

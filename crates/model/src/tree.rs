@@ -169,6 +169,14 @@ impl VideoTree {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
+    /// How many handles share this tree's contents, `self` included. A
+    /// caller holding the only handle knows nothing else keeps the tree
+    /// alive.
+    #[must_use]
+    pub fn share_count(&self) -> usize {
+        Arc::strong_count(&self.data)
+    }
+
     /// The video's title.
     #[must_use]
     pub fn title(&self) -> &str {

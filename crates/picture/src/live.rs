@@ -30,8 +30,8 @@
 //! invalidate exactly the mutated videos" is measurable, not aspirational.
 //!
 //! Writes stay off the read path. Two locks split the state: a writer
-//! mutex over the store, the [`CorpusLog`] and the generation counter
-//! serialises [`LiveVideoDb::apply`], which stages, validates and builds
+//! mutex over the store and the generation counter serialises
+//! [`LiveVideoDb::apply`], which stages, validates and builds
 //! fresh members under it; a snapshot mutex over the published
 //! `Arc<LiveSnapshot>` is held only to clone or swap that `Arc`.
 //! [`LiveVideoDb::pin`] and [`LiveVideoDb::epoch`] take only the
@@ -40,12 +40,17 @@
 //! The retired snapshot drops after both locks are released.
 //!
 //! Trees are shared, not copied. A [`VideoTree`] keeps its contents
-//! behind one `Arc`, so the writer's store, the log's base, a staged
-//! batch and every member point at one tree per video; staging a batch
-//! copies one pointer per video and `apply` costs O(touched videos).
+//! behind one `Arc`, so the writer's store, a staged batch and every
+//! member point at one tree per video; staging a batch copies one pointer
+//! per video and `apply` costs O(touched videos).
 //!
-//! Failure atomicity: a batch either commits in full or leaves the store,
-//! log and snapshot untouched at the pre-batch epoch. The rebuild of
+//! Memory follows the live corpus, not its history: the db keeps no log of
+//! applied batches, so a removed or replaced video's tree drops with the
+//! last snapshot that holds it. A caller that needs to rebuild past epochs
+//! (a differential test) keeps its own [`simvid_model::CorpusLog`].
+//!
+//! Failure atomicity: a batch either commits in full or leaves the store
+//! and snapshot untouched at the pre-batch epoch. The rebuild of
 //! fresh members runs *before* anything is published, and an injected
 //! fault (see [`LiveVideoDb::with_apply_faults`]) aborts the whole apply
 //! with [`ApplyError::Injected`] — the chaos suite verifies digest
@@ -62,7 +67,7 @@ use crate::{CacheConfig, PictureSystem, ScoringConfig};
 use simvid_core::{AtomicProvider, Budget, EngineConfig, EngineError, ShardHit, ShardStream};
 use simvid_htl::Formula;
 use simvid_model::{
-    AppliedBatch, CorpusEpoch, CorpusError, CorpusLog, CorpusOp, VideoId, VideoStore, VideoTree,
+    AppliedBatch, CorpusEpoch, CorpusError, CorpusOp, VideoId, VideoStore, VideoTree,
 };
 use simvid_obs::Registry;
 use simvid_resilience::{
@@ -186,7 +191,6 @@ impl std::error::Error for ApplyError {}
 /// and readers never take that lock.
 struct Writer {
     store: VideoStore,
-    log: CorpusLog,
     next_generation: u64,
 }
 
@@ -212,8 +216,7 @@ pub struct LiveVideoDb {
 
 impl LiveVideoDb {
     /// Takes ownership of `store` (at whatever epoch it is at) and builds
-    /// the initial snapshot; the internal [`CorpusLog`] starts here, so
-    /// [`LiveVideoDb::replay_to`] can rebuild any epoch from this one on.
+    /// the initial snapshot.
     ///
     /// # Panics
     ///
@@ -230,7 +233,6 @@ impl LiveVideoDb {
             retained: registry.counter("cache.invalidation.retained"),
             epoch_gauge,
             writer: Mutex::new(Writer {
-                log: CorpusLog::starting_from(store.clone()),
                 store,
                 next_generation,
             }),
@@ -303,22 +305,6 @@ impl LiveVideoDb {
         Arc::clone(&self.snapshot.lock().expect("live snapshot lock"))
     }
 
-    /// Rebuilds the store at `epoch` from scratch by replaying the
-    /// mutation log — the differential-testing oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` predates this db's construction or exceeds the
-    /// head epoch.
-    #[must_use]
-    pub fn replay_to(&self, epoch: CorpusEpoch) -> VideoStore {
-        self.writer
-            .lock()
-            .expect("live writer lock")
-            .log
-            .replay_to(epoch)
-    }
-
     /// Pins the current snapshot: a cheap `Arc` clone under the snapshot
     /// lock, which an in-progress [`LiveVideoDb::apply`] does not hold.
     /// Queries on the pin see exactly the pinned epoch however many
@@ -386,8 +372,8 @@ impl LiveVideoDb {
                         match plan.decide(epoch.0, &format!("apply/v{}", video.0), 0) {
                             Some(Fault::Delay(d)) => std::thread::sleep(d),
                             Some(f) => {
-                                // Nothing published yet: store, log and
-                                // snapshot are all pre-batch.
+                                // Nothing published yet: store and
+                                // snapshot are both pre-batch.
                                 return Err(ApplyError::Injected {
                                     video,
                                     fault: format!("{f:?}"),
@@ -412,7 +398,6 @@ impl LiveVideoDb {
         // Point of no return: commit the writer state, then publish the
         // snapshot with one pointer swap.
         writer.store = staged;
-        writer.log.record(ops);
         writer.next_generation = next_generation;
         let next = Arc::new(LiveSnapshot {
             epoch,
@@ -703,7 +688,8 @@ impl LivePin {
 mod tests {
     use super::*;
     use simvid_htl::parse;
-    use simvid_model::VideoBuilder;
+    use simvid_model::{CorpusLog, VideoBuilder};
+    use std::collections::VecDeque;
 
     fn video(title: &str, gun_shots: &[bool]) -> VideoTree {
         let mut b = VideoBuilder::new(title);
@@ -773,12 +759,11 @@ mod tests {
         let old_pin = db.pin();
         let before = old_pin.top_k(&q, 1, 10).unwrap();
 
-        let batch = db
-            .apply(&[
-                CorpusOp::Remove(VideoId(1)),
-                CorpusOp::Ingest(video("e", &[true, false, true])),
-            ])
-            .unwrap();
+        let ops = [
+            CorpusOp::Remove(VideoId(1)),
+            CorpusOp::Ingest(video("e", &[true, false, true])),
+        ];
+        let batch = db.apply(&ops).unwrap();
         assert_eq!(batch.epoch, CorpusEpoch(1));
         assert_eq!(db.epoch(), CorpusEpoch(1));
 
@@ -786,12 +771,13 @@ mod tests {
         assert_eq!(old_pin.epoch(), CorpusEpoch(0));
         assert_eq!(old_pin.top_k(&q, 1, 10).unwrap(), before);
 
-        // A fresh pin answers like a frozen partition of the replayed
-        // store at epoch 1.
+        // A fresh pin answers like a frozen partition of the store with
+        // the batch applied.
         let pin = db.pin();
         assert_eq!(pin.epoch(), CorpusEpoch(1));
         let got = pin.top_k(&q, 1, 10).unwrap();
-        let rebuilt = db.replay_to(CorpusEpoch(1));
+        let mut rebuilt = store();
+        rebuilt.apply(&ops).unwrap();
         assert_eq!(got.ranked(), &frozen_answer(&rebuilt, &q, 10)[..]);
     }
 
@@ -840,11 +826,19 @@ mod tests {
 
     #[test]
     fn members_share_the_store_trees_instead_of_copying_them() {
-        let db = live(2, 2);
+        // The caller's copy of the store shares them too: cloning a store
+        // copies pointers only.
+        let base = store();
+        let db = LiveVideoDb::new(
+            base.clone(),
+            LiveConfig {
+                shards: 2,
+                replicas: 2,
+                ..LiveConfig::default()
+            },
+            Arc::new(Registry::new()),
+        );
         assert_members_share_store_trees(&db);
-        // The log base shares them too: replaying to the base epoch
-        // clones the base, which copies pointers only.
-        let base = db.replay_to(CorpusEpoch(0));
         for (video, tree) in base.iter() {
             assert!(db.pin().member(video).unwrap().tree.ptr_eq(tree));
         }
@@ -878,13 +872,14 @@ mod tests {
         assert_eq!(db.pin().top_k(&q, 1, 10).unwrap(), before);
 
         // Injected fault: always-fire plan aborts the batch atomically.
+        // The test keeps its own log of the committed batches.
         let db = live(2, 1).with_apply_faults(FaultPlan::chaos_default());
-        let before = db.pin().top_k(&q, 1, 10).unwrap();
+        let mut log = CorpusLog::starting_from(store());
         let mut aborted = false;
         for i in 0..16u32 {
-            let r = db.apply(&[CorpusOp::Ingest(video(&format!("n{i}"), &[true]))]);
-            match r {
-                Ok(_) => {}
+            let ops = [CorpusOp::Ingest(video(&format!("n{i}"), &[true]))];
+            match db.apply(&ops) {
+                Ok(_) => log.record(&ops),
                 Err(ApplyError::Injected { .. }) => {
                     aborted = true;
                     break;
@@ -893,11 +888,41 @@ mod tests {
             }
         }
         assert!(aborted, "chaos plan should fire within 16 batches");
-        // Whatever committed before the abort is consistent: the pinned
-        // answer replays bit-identically from the log.
+        // Whatever committed before the abort is consistent: the head
+        // answers bit-identically to a rebuild from the committed batches.
         let head = db.epoch();
-        let rebuilt = db.replay_to(head);
-        assert_eq!(rebuilt.epoch(), head);
-        let _ = before;
+        assert_eq!(head, log.head_epoch());
+        let rebuilt = log.replay_to(head);
+        assert_eq!(
+            db.pin().top_k(&q, 1, 10).unwrap().ranked(),
+            &frozen_answer(&rebuilt, &q, 10)[..]
+        );
+    }
+
+    /// Under balanced churn the db keeps only the live videos' trees
+    /// alive: a removed video's tree drops with the last snapshot that
+    /// held it, however many batches came before.
+    #[test]
+    fn removed_videos_do_not_outlive_their_last_snapshot() {
+        let db = live(2, 1);
+        let mut live_ids: VecDeque<u32> = (0..4).collect();
+        let mut ingested = Vec::new();
+        for i in 0..64u32 {
+            let tree = video(&format!("n{i}"), &[i % 2 == 0, true]);
+            ingested.push(tree.clone());
+            let oldest = live_ids.pop_front().unwrap();
+            let batch = db
+                .apply(&[CorpusOp::Ingest(tree), CorpusOp::Remove(VideoId(oldest))])
+                .unwrap();
+            live_ids.extend(batch.ingested.iter().map(|v| v.0));
+        }
+        let live_count = db.pin().video_count();
+        assert_eq!(live_count, 4);
+        // A tree whose only handle is the test's own is no longer kept.
+        let kept = ingested.iter().filter(|t| t.share_count() > 1).count();
+        assert_eq!(
+            kept, live_count,
+            "trees kept alive for {live_count} live videos"
+        );
     }
 }

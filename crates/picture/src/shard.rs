@@ -18,7 +18,7 @@
 //! ([`simvid_core::global_rank`]), so the merge is exactly the k-prefix of
 //! the global sort the flat scan would produce. The
 //! [`crate::LivePin::top_k_unsharded`] oracle makes that property directly
-//! testable (and CI-gateable via `results_digest`).
+//! testable, and the `serving_golden` suite pins the digest of its answers.
 //!
 //! A shard whose provider fails with a *degradable* error (a provider
 //! that gave up after retries, a budget violation, a captured panic, every

@@ -84,7 +84,7 @@ impl FaultPlan {
         }
     }
 
-    /// The chaos-mode default used by `repro chaos` and the chaos suite:
+    /// The chaos-mode default used by the chaos suite:
     /// 15% transient errors and 2% panics per attempt (comfortably above
     /// the acceptance floor of 10% / 1%), no injected latency so runs stay
     /// fast and wall-clock-independent.

@@ -39,30 +39,16 @@ pub struct ServeConfig {
     pub k: usize,
     /// Seed for both the video and the schedule.
     pub seed: u64,
-    /// Capacity of the warm system's atomic-result cache (`0` disables
-    /// caching — useful for demonstrating what the bench gate catches).
-    pub cache_capacity: usize,
-    /// Worker threads of the concurrent executor (see
-    /// [`run_schedule_concurrent`]). `1` still goes through the pool —
-    /// use [`run_schedule`] for the plain sequential loop.
-    pub workers: usize,
-    /// Capacity of the executor's bounded request queue; the producer
-    /// blocks when it is full, bounding admitted-but-unserved work.
-    pub queue_depth: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         ServeConfig {
             shots: 400,
             requests: 200,
             zipf_exponent: 1.1,
             k: 10,
             seed: 97,
-            cache_capacity: 1024,
-            workers,
-            queue_depth: 2 * workers,
         }
     }
 }
@@ -376,15 +362,6 @@ impl Default for ExecutorConfig {
         ExecutorConfig::with_workers(
             std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         )
-    }
-}
-
-impl From<&ServeConfig> for ExecutorConfig {
-    fn from(cfg: &ServeConfig) -> Self {
-        ExecutorConfig {
-            workers: cfg.workers.max(1),
-            queue_depth: cfg.queue_depth.max(1),
-        }
     }
 }
 

@@ -157,7 +157,6 @@ pub fn build_corpus(cfg: &CorpusConfig) -> CorpusWorkload {
         zipf_exponent: cfg.zipf_exponent,
         k: cfg.k,
         seed: cfg.seed,
-        ..crate::serve::ServeConfig::default()
     });
     CorpusWorkload {
         store,

@@ -1,7 +1,82 @@
 //! Shared helpers for the cross-crate integration suite (the tests live in
 //! `suite/`).
 
-use simvid_core::SimilarityList;
+use simvid_core::{RankedSegment, ShardHit, SimilarityList};
+use simvid_picture::ShardedAnswer;
+
+/// FNV-1a (64-bit) over the bit patterns of served answers, fed one
+/// little-endian `u64` word at a time. Equal answers hash equally on every
+/// platform, so a digest pinned in a test catches any drift in what a
+/// serving path returns. Every digest starts with the request count.
+#[derive(Debug, Clone, Copy)]
+pub struct Digest(u64);
+
+impl Digest {
+    /// A digest of `requests` answers.
+    #[must_use]
+    pub fn new(requests: usize) -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325).word(requests as u64)
+    }
+
+    /// Folds in one word.
+    #[must_use]
+    pub fn word(mut self, v: u64) -> Digest {
+        for byte in v.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// Folds in a single-video ranking: its length, then each segment's
+    /// position and similarity bits.
+    #[must_use]
+    pub fn segments(self, ranked: &[RankedSegment]) -> Digest {
+        ranked
+            .iter()
+            .fold(self.word(ranked.len() as u64), |d, seg| {
+                d.word(u64::from(seg.pos))
+                    .word(seg.sim.act.to_bits())
+                    .word(seg.sim.max.to_bits())
+            })
+    }
+
+    /// Folds in a corpus ranking: its length, then each hit's video id,
+    /// position and similarity bits.
+    #[must_use]
+    pub fn hits(self, ranked: &[ShardHit]) -> Digest {
+        ranked
+            .iter()
+            .fold(self.word(ranked.len() as u64), |d, hit| {
+                d.word(u64::from(hit.video.0))
+                    .word(u64::from(hit.pos))
+                    .word(hit.sim.act.to_bits())
+                    .word(hit.sim.max.to_bits())
+            })
+    }
+
+    /// Folds in a corpus answer: its ranking, then `0` if complete, or `1`,
+    /// the `missing_bound` bits and the failed shard ids if degraded.
+    #[must_use]
+    pub fn answer(self, answer: &ShardedAnswer) -> Digest {
+        let d = self.hits(answer.ranked());
+        match answer {
+            ShardedAnswer::Complete(_) => d.word(0),
+            ShardedAnswer::Degraded(g) => g
+                .failed
+                .iter()
+                .fold(d.word(1).word(g.missing_bound.to_bits()), |d, (s, _)| {
+                    d.word(u64::from(s.0))
+                }),
+        }
+    }
+
+    /// The digest as 16 hex digits.
+    #[must_use]
+    pub fn hex(self) -> String {
+        format!("{:016x}", self.0)
+    }
+}
 
 /// Asserts two lists are value-equal over positions `1..=n`.
 #[track_caller]
@@ -38,7 +113,7 @@ pub fn assert_tuples(got: &[(u32, u32, f64)], want: &[(u32, u32, f64)], what: &s
 pub mod corpus {
     use simvid_core::ShardHit;
     use simvid_htl::{parse, Formula};
-    use simvid_model::{CorpusEpoch, CorpusOp, VideoBuilder, VideoId, VideoStore, VideoTree};
+    use simvid_model::{CorpusOp, VideoBuilder, VideoId, VideoStore, VideoTree};
     use simvid_obs::Registry;
     use simvid_picture::{
         shard_of, FaultTarget, LiveConfig, LiveVideoDb, ReplicaId, ShardId, ShardedAnswer,
@@ -226,18 +301,13 @@ pub mod corpus {
         workers: &[usize],
     ) -> Counters {
         let w = tie_heavy_workload();
-        // Every epoch's store, replayed once.
-        let reference = LiveVideoDb::new(
-            w.store.clone(),
-            LiveConfig::default(),
-            Arc::new(Registry::new()),
-        );
+        // Every epoch's store: the base, then each batch applied in turn.
+        let mut stores = vec![w.store.clone()];
         for (_, ops) in &w.batches {
-            reference.apply(ops).expect("generated batch is valid");
+            let mut next = stores[stores.len() - 1].clone();
+            next.apply(ops).expect("generated batch is valid");
+            stores.push(next);
         }
-        let stores: Vec<VideoStore> = (0..=w.batches.len() as u64)
-            .map(|e| reference.replay_to(CorpusEpoch(e)))
-            .collect();
         let mut oracle: HashMap<(Option<u32>, u64, usize), Vec<ShardHit>> = HashMap::new();
         let mut expect = |victim_of: Option<u32>, epoch: u64, q: usize| {
             oracle

@@ -262,8 +262,8 @@ fn faulted_applies_are_all_or_nothing_and_leave_the_store_untouched() {
 
 #[test]
 fn default_length_schedule_never_aborts_and_classifies_every_request() {
-    // The default 200-request schedule over a smaller video (full shot
-    // count belongs to the release-mode `repro chaos` run).
+    // The default 200-request schedule over a smaller video, which keeps
+    // the debug-mode suite quick.
     let cfg = ServeConfig {
         shots: 40,
         ..ServeConfig::default()

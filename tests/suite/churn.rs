@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use simvid_htl::parse;
-use simvid_model::{CorpusOp, VideoId, VideoStore};
+use simvid_model::{CorpusLog, CorpusOp, VideoId, VideoStore};
 use simvid_obs::Registry;
 use simvid_picture::{LiveConfig, LiveVideoDb};
 use simvid_resilience::FaultPlan;
@@ -56,6 +56,9 @@ proptest! {
         for shards in 1u32..=4 {
             for replicas in 1u32..=2 {
                 let store = store_from(&patterns);
+                // The rebuild-from-log oracle: the test records every
+                // batch it applies.
+                let mut log = CorpusLog::starting_from(store.clone());
                 let db = live(store, shards, replicas);
                 let mut live_ids: Vec<u32> = (0..patterns.len() as u32).collect();
                 let mut next_id = patterns.len() as u32;
@@ -65,8 +68,9 @@ proptest! {
                         let mut rng = seed;
                         let ops = batch_from(&mut rng, &mut live_ids, &mut next_id);
                         db.apply(&ops).expect("generated batch is valid");
+                        log.record(&ops);
                     }
-                    let oracle = oracle_top_k(&db.replay_to(db.epoch()), &q, k);
+                    let oracle = oracle_top_k(&log.replay_to(db.epoch()), &q, k);
                     let pin = db.pin();
                     prop_assert_eq!(pin.epoch(), db.epoch());
                     let got = pin.top_k(&q, 1, k).unwrap();
@@ -210,10 +214,11 @@ fn hot_key_storm_across_invalidation_recomputes_the_mutated_video_once() {
 fn pinned_snapshots_answer_their_own_epoch_after_later_mutations() {
     let q = parse("exists x . person(x) and holds_gun(x)").unwrap();
     let patterns: Vec<Vec<u8>> = vec![vec![2, 0, 1], vec![1, 1, 2], vec![2, 2]];
-    let db = live(store_from(&patterns), 2, 1);
+    let store = store_from(&patterns);
+    let db = live(store.clone(), 2, 1);
     let old_pin = db.pin();
     let old_epoch = old_pin.epoch();
-    let old_oracle = oracle_top_k(&db.replay_to(old_epoch), &q, 10);
+    let old_oracle = oracle_top_k(&store, &q, 10);
     db.apply(&[
         CorpusOp::Remove(VideoId(0)),
         CorpusOp::Ingest(video("i3", &[2, 2, 2])),

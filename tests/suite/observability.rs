@@ -5,8 +5,7 @@
 //! how evaluation is scheduled across threads. Timing histograms are
 //! explicitly *not* deterministic, which is why [`Snapshot::deterministic`]
 //! exists — these tests pin down that split, plus the serve-layer
-//! histogram accounting and the JSON rendering contract the `repro
-//! --metrics` flag and the CI bench gate rely on.
+//! histogram accounting and the snapshot's JSON rendering contract.
 
 use simvid_core::{
     AtomicProvider, Engine, EngineConfig, SeqContext, SimilarityList, SimilarityTable, ValueTable,

@@ -25,6 +25,7 @@ use simvid_resilience::{
     failover_order, Admission, BreakerConfig, BreakerState, CircuitBreaker, FaultPlan, RetryPolicy,
 };
 use simvid_tests::corpus::{check_matrix, World};
+use simvid_tests::Digest;
 use simvid_workload::serve::ExecutorConfig;
 use simvid_workload::shard::{build_corpus, run_corpus, CorpusConfig, CorpusRun, CorpusWorkload};
 use std::sync::Arc;
@@ -79,37 +80,20 @@ fn chaos_run(
     (run_corpus(w, &db, &ExecutorConfig::with_workers(0)), db)
 }
 
-/// FNV-1a over every answer of a run: ranking bits, completeness, and a
-/// degraded answer's `missing_bound` bits and failed shard ids.
+/// [`Digest`] of every answer of a run.
 fn answers_digest(answers: &[ShardedAnswer]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(answers.len() as u64);
-    for a in answers {
-        eat(a.ranked().len() as u64);
-        for hit in a.ranked() {
-            eat(u64::from(hit.video.0));
-            eat(u64::from(hit.pos));
-            eat(hit.sim.act.to_bits());
-            eat(hit.sim.max.to_bits());
-        }
-        match a {
-            ShardedAnswer::Complete(_) => eat(0),
-            ShardedAnswer::Degraded(d) => {
-                eat(1);
-                eat(d.missing_bound.to_bits());
-                for (s, _) in &d.failed {
-                    eat(u64::from(s.0));
-                }
-            }
-        }
-    }
-    format!("{h:016x}")
+    answers
+        .iter()
+        .fold(Digest::new(answers.len()), Digest::answer)
+        .hex()
+}
+
+/// Whether some degraded answer bounds its missing shard with a finite
+/// score (it had surviving hits to bound against).
+fn carries_finite_bound(answers: &[ShardedAnswer]) -> bool {
+    answers
+        .iter()
+        .any(|a| matches!(a, ShardedAnswer::Degraded(d) if d.missing_bound.is_finite()))
 }
 
 /// One breaker interaction, drawn by proptest.
@@ -272,6 +256,10 @@ fn whole_shard_kill_matches_the_unreplicated_degraded_answers() {
 /// its providers. The answers stay exactly those the corpus gave before
 /// the breaker reached one-replica shards (the digest was taken from the
 /// unreplicated store of that version on this schedule).
+///
+/// The victim's calls are retried and then given up, the surviving shard
+/// still answers (`shard.outcome.ok`), and some answer carries a finite
+/// missing-score bound.
 #[test]
 fn dead_shard_opens_the_breaker_at_one_replica() {
     let w = build_corpus(&config());
@@ -280,6 +268,24 @@ fn dead_shard_opens_the_breaker_at_one_replica() {
     let snap = db.registry().snapshot();
     assert!(snap.counter("replica.breaker.skipped").unwrap() > 0);
     assert!(snap.counter("replica.breaker.opened").unwrap() > 0);
+    assert!(snap.counter("resilience.retries").unwrap() >= 1);
+    assert!(snap.counter("resilience.giveups").unwrap() >= 1);
+    assert!(snap.counter("shard.outcome.failed").unwrap() >= 1);
+    assert!(snap.counter("shard.outcome.ok").unwrap() >= 1);
+    assert!(carries_finite_bound(&run.answers));
+    assert_eq!(answers_digest(&run.answers), "23d1b674402d8c57");
+}
+
+/// The same dead shard at two replicas on the frozen corpus workload:
+/// every request degrades, and the answers — rankings, `missing_bound`
+/// bits and failed shard — are exactly the one-replica answers above.
+#[test]
+fn dead_shard_at_two_replicas_degrades_like_one_replica() {
+    let w = build_corpus(&config());
+    let (run, _) = chaos_run(&w, 2, Some(FaultTarget::Shard(ShardId(0), None)));
+    assert_eq!(run.complete(), 0);
+    assert_eq!(run.degraded(), w.schedule.len());
+    assert!(carries_finite_bound(&run.answers));
     assert_eq!(answers_digest(&run.answers), "23d1b674402d8c57");
 }
 
