@@ -1,39 +1,12 @@
-//! Benchmarks of the serving layer: repeated top-`k` traffic with the
-//! cross-query atomic cache on/off, and upper-bound-pruned top-`k`
-//! retrieval against the unpruned oracle.
+//! Upper-bound-pruned top-`k` retrieval against the unpruned oracle (full
+//! evaluation, then ranking) on random lists. Serving latency and
+//! throughput are timed by the repository benchmark (`perfbench/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simvid_bench::{flat_tree, ListProvider};
 use simvid_core::{top_k, Engine};
 use simvid_htl::parse;
-use simvid_picture::{CacheConfig, PictureSystem, ScoringConfig};
 use simvid_workload::randomlists::{generate, ListGenConfig};
-use simvid_workload::serve::{self, ServeConfig};
-
-fn serve_traffic(c: &mut Criterion) {
-    let w = serve::build(&ServeConfig {
-        shots: 120,
-        requests: 40,
-        ..ServeConfig::default()
-    });
-    let mut g = c.benchmark_group("serve_traffic");
-    g.sample_size(10);
-    for (name, cache) in [
-        ("cold", CacheConfig::disabled()),
-        ("warm", CacheConfig::default()),
-    ] {
-        g.bench_with_input(BenchmarkId::new("cache", name), &cache, |b, cache| {
-            let sys = PictureSystem::with_cache(&w.tree, ScoringConfig::default(), *cache);
-            let engine = Engine::new(&sys, &w.tree);
-            b.iter(|| {
-                for &q in &w.schedule {
-                    let _ = engine.top_k_closed(&w.queries[q], w.depth(), w.k).unwrap();
-                }
-            });
-        });
-    }
-    g.finish();
-}
 
 fn pruned_topk(c: &mut Criterion) {
     let n = 50_000u32;
@@ -61,5 +34,5 @@ fn pruned_topk(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, serve_traffic, pruned_topk);
+criterion_group!(benches, pruned_topk);
 criterion_main!(benches);

@@ -11,7 +11,8 @@
 
 use simvid_model::{CorpusOp, VideoId};
 
-use crate::shard::{gen_tree, CorpusConfig};
+use crate::serve::gen_tree;
+use crate::shard::CorpusConfig;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);

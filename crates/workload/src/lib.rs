@@ -17,7 +17,8 @@
 //! * [`queries`] — the paper's example formulas (A), (B), (C), Query 1 and
 //!   the performance-comparison formulas.
 //! * [`serve`] — a repeated-traffic serving workload (Zipf-skewed top-`k`
-//!   requests over a fixed query pool), for the cross-query cache.
+//!   requests over a fixed query pool), for the cross-query cache, with
+//!   its one runner and the worker pool every runner here serves through.
 //! * [`shard`] — the same traffic over a multi-video corpus served by a
 //!   sharded, replicated `LiveVideoDb`, with [`churn`]'s mutation batches
 //!   optionally interleaved; one runner drives it.

@@ -1,4 +1,4 @@
-//! A repeated-traffic serving workload.
+//! A repeated-traffic serving workload, and the worker pool that serves it.
 //!
 //! The serving scenario the ROADMAP targets is a retrieval endpoint that
 //! answers a stream of top-`k` requests against one video database, where
@@ -8,11 +8,18 @@
 //! `until`, `eventually`, `next`, attribute comparisons), and a seeded
 //! Zipf-like request schedule over the pool — query 1 is hot, the tail is
 //! cold, exactly the shape a cross-query cache thrives on.
+//!
+//! [`run_schedule`] serves the schedule. It and the corpus runner
+//! [`crate::shard::run_corpus`] drain their tasks through one worker pool:
+//! `exec.workers` scoped threads behind a bounded queue, or the calling
+//! thread alone when `workers == 0`. Each task's result lands in its own
+//! slot, so answers come back in schedule order, bit-identical at every
+//! worker count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simvid_core::{
-    AtomicProvider, Budget, Engine, EngineConfig, EngineError, EngineHandles, Interval,
+    AtomicProvider, Budget, Engine, EngineConfig, EngineError, EngineHandles, Interval, Plan,
     RankedSegment, TopKAnswer,
 };
 use simvid_htl::{parse, Formula};
@@ -84,65 +91,10 @@ impl ServeWorkload {
     }
 }
 
-/// The outcome of driving one request schedule through an engine.
-#[derive(Debug, Clone)]
-pub struct ScheduleRun {
-    /// Per-request ranked top-`k` answers, in schedule order.
-    pub results: Vec<Vec<RankedSegment>>,
-    /// Wall time of the whole schedule.
-    pub elapsed: Duration,
-    /// Entries dropped by the upper-bound top-`k` paths, summed over the
-    /// schedule.
-    pub entries_pruned: usize,
-}
-
-/// Drives the request schedule through `engine`, one top-`k` retrieval
-/// per slot.
-///
-/// Each request increments the `serve.requests` counter and records its
-/// end-to-end latency into the `serve.request_seconds` histogram of the
-/// engine's [`simvid_obs::Registry`] — share a registry across the engine
-/// and picture system ([`Engine::with_registry`]) and one snapshot yields
-/// the whole serving profile: per-operator spans, cache behaviour, and
-/// request latency quantiles.
-///
-/// # Panics
-///
-/// Panics if a pool query fails to evaluate (the pool is fixed and
-/// closed, so this indicates an engine bug).
-#[must_use]
-pub fn run_schedule<P: AtomicProvider>(w: &ServeWorkload, engine: &Engine<P>) -> ScheduleRun {
-    let requests = engine.registry().counter("serve.requests");
-    let latency = engine.registry().histogram("serve.request_seconds");
-    let depth = w.depth();
-    let mut entries_pruned = 0;
-    let start = Instant::now();
-    let results = w
-        .schedule
-        .iter()
-        .map(|&q| {
-            let t0 = Instant::now();
-            let out = engine
-                .top_k_closed(&w.queries[q], depth, w.k)
-                .expect("serve request evaluates");
-            latency.record_duration(t0.elapsed());
-            requests.inc();
-            entries_pruned += engine.stats().entries_pruned;
-            out
-        })
-        .collect();
-    ScheduleRun {
-        results,
-        elapsed: start.elapsed(),
-        entries_pruned,
-    }
-}
-
-/// How a single resilient request resolved.
+/// How a single request resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestOutcome {
-    /// The full top-`k` ranking, identical to what [`run_schedule`] would
-    /// have produced.
+    /// The full top-`k` ranking.
     Ok,
     /// A partial ranking with sound upper bounds on the unresolved
     /// segments (budget violation or a provider that gave up after
@@ -159,7 +111,7 @@ pub enum RequestOutcome {
     Shed,
 }
 
-/// The record of one request driven through the resilient serving path.
+/// The record of one served request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestReport {
     /// Index into the workload's query pool.
@@ -179,16 +131,20 @@ pub struct RequestReport {
     pub reason: Option<String>,
 }
 
-/// The outcome of driving one request schedule through the resilient path.
+/// The outcome of driving one request schedule through [`run_schedule`].
 #[derive(Debug, Clone)]
-pub struct ResilientRun {
+pub struct ScheduleRun {
     /// One report per schedule slot, in schedule order.
     pub reports: Vec<RequestReport>,
     /// Wall time of the whole schedule.
     pub elapsed: Duration,
+    /// Entries dropped by the upper-bound top-`k` paths over the run: the
+    /// run's delta of the registry's `engine.prune.entries_pruned`, the
+    /// same at every worker count.
+    pub entries_pruned: usize,
 }
 
-impl ResilientRun {
+impl ScheduleRun {
     /// How many requests resolved with the given outcome.
     #[must_use]
     pub fn count(&self, outcome: RequestOutcome) -> usize {
@@ -196,8 +152,8 @@ impl ResilientRun {
     }
 }
 
-/// Per-request limits applied by [`run_schedule_resilient`]. The default
-/// is unlimited: no deadline, no fuel cap.
+/// Per-request limits of a [`ServePolicy`]. The default is unlimited: no
+/// deadline, no fuel cap.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RequestLimits {
     /// Wall-clock deadline per request.
@@ -220,78 +176,191 @@ impl RequestLimits {
     }
 }
 
-/// Drives the request schedule through the engine's *resilient* top-`k`
-/// path: every request gets a fresh [`Budget`] from `limits`, and every
-/// request resolves to a classified [`RequestReport`] — the schedule never
-/// aborts, whatever the provider throws at it.
+/// Degraded-service tuning applied while the executor queue sits at or
+/// above its watermark: requests are evaluated with a smaller `k` and an
+/// optional fuel cap, trading answer size for admission capacity instead
+/// of queueing or shedding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BrownoutConfig {
+    /// Requests still queued when a worker takes a request, at or above
+    /// which that request is served browned-out. An inline run
+    /// (`workers == 0`) queues nothing, so its backlog is always 0. `0`
+    /// browns out everything; `usize::MAX` effectively disables brownout.
+    pub watermark: usize,
+    /// The lowered top-`k` size under brownout (the effective `k` is the
+    /// minimum of this and the workload's `k`).
+    pub k: usize,
+    /// Additional fuel cap under brownout, on top of the request's normal
+    /// [`RequestLimits`].
+    pub fuel: Option<u64>,
+}
+
+/// Admission control of a [`ServePolicy`]: what happens when the bounded
+/// queue is full, and whether saturation lowers service quality.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdmissionConfig {
+    /// `true` sheds on a full queue ([`RequestOutcome::Shed`], counted in
+    /// `serve.outcome.shed`) instead of blocking the producer; `false`
+    /// keeps the blocking backpressure (waits counted in
+    /// `serve.queue.full_waits` either way). An inline run never sheds.
+    pub shed_when_full: bool,
+    /// Brownout mode, if any.
+    pub brownout: Option<BrownoutConfig>,
+}
+
+/// How [`run_schedule`] serves each request of one run. The default serves
+/// every request unlimited, at normal priority, blocking while the queue
+/// is full, with no hooks.
+#[derive(Clone, Copy, Default)]
+pub struct ServePolicy<'a> {
+    /// The deadline and fuel of every request's [`Budget`].
+    pub limits: RequestLimits,
+    /// Load shedding and brownout.
+    pub admission: AdmissionConfig,
+    /// The queue lane of each schedule slot ([`Priority::Normal`] when
+    /// `None`). Lanes only reorder work; an inline run serves in schedule
+    /// order.
+    pub priority: Option<&'a (dyn Fn(usize) -> Priority + Sync)>,
+    /// A run-level budget for cooperative cancellation: once it is
+    /// violated (deadline passed, fuel exhausted, or [`Budget::cancel`]
+    /// called from another thread), every request not yet evaluated gets a
+    /// cancelled budget, so the run drains quickly with degraded answers
+    /// (sound upper bounds) instead of evaluating doomed work.
+    pub cancel: Option<&'a Budget>,
+    /// Runs with the slot index on the thread that evaluates the slot,
+    /// immediately before evaluation — the caller's thread when
+    /// `workers == 0`. Fault harnesses pin their per-thread epoch there
+    /// (e.g. `FaultyProvider::set_thread_epoch`).
+    pub before_request: Option<&'a (dyn Fn(usize) + Sync)>,
+}
+
+/// Serves the request schedule through the worker pool of `exec` and
+/// returns one [`RequestReport`] per slot, **in schedule order** whatever
+/// order the requests complete in. Every request resolves — the schedule
+/// never aborts, whatever the provider throws at it — and takes its
+/// budget, lane, brownout and hooks from `policy`.
 ///
-/// `before_request` runs before each slot with the slot index; fault
-/// injection harnesses use it to re-key their deterministic fault schedule
-/// per request (e.g. `FaultyProvider::set_epoch`).
+/// Each pool query is planned once for the run. Every worker (or the
+/// calling thread, when `exec.workers == 0`) builds its own [`Engine`]
+/// over the shared `provider` and `registry`, so per-evaluation memo state
+/// stays request-private; the only cross-request sharing is the provider's
+/// atomic-result cache, whose singleflight layer coalesces concurrent
+/// misses on one key into a single computation. Rankings never depend on
+/// cache state, only the work to produce them does, so reports are
+/// bit-identical at every worker count.
 ///
-/// Outcomes are counted in the engine registry under `serve.outcome.ok` /
-/// `serve.outcome.degraded` / `serve.outcome.failed`, next to the same
-/// `serve.requests` counter and `serve.request_seconds` histogram
-/// [`run_schedule`] records.
+/// Every request counts `serve.requests`, its latency in the
+/// `serve.request_seconds` histogram and exactly one `serve.outcome.*`
+/// counter (`ok`, `degraded`, `failed`, `shed`), on the thread that
+/// resolved it; a browned-out request also counts
+/// `serve.brownout.requests`. Shed requests resolve producer-side with an
+/// [`EngineError::Overloaded`] reason.
+///
+/// # Panics
+///
+/// A panicking worker closes the queue so the pool shuts down instead of
+/// deadlocking, and the panic resurfaces here. Panics inside an
+/// evaluation are captured as [`RequestOutcome::Failed`].
 #[must_use]
-pub fn run_schedule_resilient<P: AtomicProvider>(
+pub fn run_schedule<P: AtomicProvider>(
     w: &ServeWorkload,
-    engine: &Engine<P>,
-    limits: RequestLimits,
-    mut before_request: impl FnMut(usize),
-) -> ResilientRun {
-    let requests = engine.registry().counter("serve.requests");
-    let latency = engine.registry().histogram("serve.request_seconds");
-    let ok = engine.registry().counter("serve.outcome.ok");
-    let degraded = engine.registry().counter("serve.outcome.degraded");
-    let failed = engine.registry().counter("serve.outcome.failed");
-    let shed = engine.registry().counter("serve.outcome.shed");
-    let depth = w.depth();
+    provider: &P,
+    engine_config: EngineConfig,
+    registry: &Arc<Registry>,
+    exec: &ExecutorConfig,
+    policy: &ServePolicy<'_>,
+) -> ScheduleRun {
+    let requests = registry.counter("serve.requests");
+    let latency = registry.histogram("serve.request_seconds");
+    let ok = registry.counter("serve.outcome.ok");
+    let degraded = registry.counter("serve.outcome.degraded");
+    let failed = registry.counter("serve.outcome.failed");
+    let shed = registry.counter("serve.outcome.shed");
+    let browned = registry.counter("serve.brownout.requests");
+    let pruned = registry.counter("engine.prune.entries_pruned");
+    let count = |report: &RequestReport| {
+        requests.inc();
+        match report.outcome {
+            RequestOutcome::Ok => ok.inc(),
+            RequestOutcome::Degraded => degraded.inc(),
+            RequestOutcome::Failed => failed.inc(),
+            RequestOutcome::Shed => shed.inc(),
+        }
+    };
+    let shed_request = |r: usize| {
+        let report = RequestReport {
+            query: w.schedule[r],
+            outcome: RequestOutcome::Shed,
+            ranked: Vec::new(),
+            upper_bounds: Vec::new(),
+            reason: Some(EngineError::Overloaded("executor queue full".into()).to_string()),
+        };
+        count(&report);
+        report
+    };
+    let plans: Vec<Plan> = w.queries.iter().map(Plan::new).collect();
+    // One set of engine metric handles for every worker's engine.
+    let handles = EngineHandles::new(Arc::clone(registry));
+    let pruned_before = pruned.get();
     let start = Instant::now();
-    let reports = w
-        .schedule
-        .iter()
-        .enumerate()
-        .map(|(r, &q)| {
-            before_request(r);
-            let budget = limits.budget();
-            let t0 = Instant::now();
-            let report = resolve_request(w, engine, q, depth, w.k, &budget);
-            latency.record_duration(t0.elapsed());
-            requests.inc();
-            match report.outcome {
-                RequestOutcome::Ok => ok.inc(),
-                RequestOutcome::Degraded => degraded.inc(),
-                RequestOutcome::Failed => failed.inc(),
-                RequestOutcome::Shed => shed.inc(),
+    let reports = run_pool(
+        exec,
+        registry,
+        w.schedule.len(),
+        |r| policy.priority.map_or(Priority::Normal, |lane| lane(r)),
+        policy
+            .admission
+            .shed_when_full
+            .then_some(&shed_request as &dyn Fn(usize) -> RequestReport),
+        || Engine::with_handles(provider, &w.tree, engine_config, Arc::clone(&handles)),
+        |engine, r, backlog| {
+            if let Some(hook) = policy.before_request {
+                hook(r);
             }
+            let mut k = w.k;
+            let mut budget = policy.limits.budget();
+            // Brownout is decided when the request is taken, from the
+            // backlog behind it, not the backlog when it was admitted.
+            if let Some(b) = policy.admission.brownout.filter(|b| backlog >= b.watermark) {
+                browned.inc();
+                k = k.min(b.k);
+                if let Some(fuel) = b.fuel {
+                    budget = budget.with_fuel(fuel);
+                }
+            }
+            if policy.cancel.is_some_and(|c| c.check().is_err()) {
+                budget.cancel();
+            }
+            let q = w.schedule[r];
+            let t0 = Instant::now();
+            let report = resolve_request(engine, &plans[q], q, w.depth(), k, &budget);
+            latency.record_duration(t0.elapsed());
+            count(&report);
             report
-        })
-        .collect();
-    ResilientRun {
+        },
+    );
+    ScheduleRun {
         reports,
         elapsed: start.elapsed(),
+        entries_pruned: (pruned.get() - pruned_before) as usize,
     }
 }
 
-/// Evaluates one resilient request and classifies the answer into a
-/// [`RequestReport`]. Shared by the sequential and concurrent resilient
-/// paths so a request classifies identically wherever it runs; counters
-/// are the caller's job — each request is counted exactly once, by whoever
-/// resolved it.
+/// Evaluates one request and classifies the answer into a
+/// [`RequestReport`]; counting it is the caller's job.
 fn resolve_request<P: AtomicProvider>(
-    w: &ServeWorkload,
     engine: &Engine<P>,
+    plan: &Plan,
     q: usize,
     depth: u8,
     k: usize,
     budget: &Budget,
 ) -> RequestReport {
-    // Belt and braces: the engine already catches panics at its worker
-    // joins and at the resilient boundary, but a serving loop must survive
-    // even a panic in a path that boundary does not cover.
+    // Belt and braces: the engine already catches panics at the resilient
+    // boundary, but a serving loop must survive even a panic in a path
+    // that boundary does not cover.
     let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.top_k_closed_resilient(&w.queries[q], depth, k, budget)
+        engine.top_k_plan_resilient(plan, depth, k, budget)
     }))
     .unwrap_or_else(|p| {
         let msg = p
@@ -332,16 +401,16 @@ fn resolve_request<P: AtomicProvider>(
     }
 }
 
-/// Shape of the concurrent serving executor: how many worker threads
-/// drain the schedule, and how much admitted-but-unserved work the
-/// bounded request queue may hold (the producer blocks when it is full).
+/// Shape of the worker pool every runner of this crate serves through:
+/// how many worker threads drain the tasks, and how much admitted but
+/// unserved work the bounded queue may hold (the producer blocks, or
+/// sheds, while it is full).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
-    /// Worker threads in the fixed-size pool. `0` makes
-    /// [`crate::shard::run_corpus`] answer inline on the calling thread;
-    /// the single-video pool runners treat it as 1.
+    /// Worker threads in the fixed-size pool. `0` runs every task inline
+    /// on the calling thread, in task order, with no queue.
     pub workers: usize,
-    /// Bounded queue capacity (at least 1).
+    /// Bounded queue capacity (at least 1; unused inline).
     pub queue_depth: usize,
 }
 
@@ -377,9 +446,85 @@ pub enum Priority {
     Normal,
 }
 
+/// The one worker pool: runs tasks `0..tasks` and returns their results
+/// in task order, whatever order they complete in.
+///
+/// With `exec.workers == 0` every task runs inline on the calling thread,
+/// in task order, on one `worker()` state, with a backlog of 0. Otherwise
+/// `exec.workers` scoped threads (no runtime dependency) each build their
+/// own `worker()` state and drain a [`BoundedQueue`] of `exec.queue_depth`
+/// that the calling thread fills in task order, each task into its
+/// `lane`; `run(state, task, backlog)` gets the number of tasks still
+/// queued when it was taken. A task the full queue turns away resolves to
+/// `shed(task)` when `shed` is given; otherwise the producer blocks. Each
+/// worker records its task times in a `serve.worker.<wid>.task_seconds`
+/// histogram.
+///
+/// # Panics
+///
+/// A panicking worker closes the queue, so the producer and its siblings
+/// stop instead of deadlocking; the panic resurfaces at the scope join.
+pub(crate) fn run_pool<S, T: Send>(
+    exec: &ExecutorConfig,
+    registry: &Registry,
+    tasks: usize,
+    lane: impl Fn(usize) -> Priority,
+    shed: Option<&dyn Fn(usize) -> T>,
+    worker: impl Fn() -> S + Sync,
+    run: impl Fn(&S, usize, usize) -> T + Sync,
+) -> Vec<T> {
+    if exec.workers == 0 {
+        let state = worker();
+        return (0..tasks).map(|t| run(&state, t, 0)).collect();
+    }
+    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
+    let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for wid in 0..exec.workers {
+            let (queue, slots, worker, run) = (&queue, &slots, &worker, &run);
+            let task_seconds = registry.histogram(&format!("serve.worker.{wid}.task_seconds"));
+            scope.spawn(move || {
+                let _guard = CloseOnPanic(queue);
+                let state = worker();
+                while let Some((t, backlog)) = queue.pop() {
+                    let t0 = Instant::now();
+                    let out = run(&state, t, backlog);
+                    task_seconds.record_duration(t0.elapsed());
+                    *slots[t].lock().expect("task slot lock") = Some(out);
+                }
+            });
+        }
+        for (t, slot) in slots.iter().enumerate() {
+            let admitted = match shed {
+                None => queue.push(t, lane(t)),
+                Some(shed) => match queue.try_push(t, lane(t)) {
+                    TryPush::Admitted => true,
+                    TryPush::Full => {
+                        *slot.lock().expect("task slot lock") = Some(shed(t));
+                        true
+                    }
+                    TryPush::Closed => false,
+                },
+            };
+            if !admitted {
+                break; // a worker panicked; the scope join re-panics below
+            }
+        }
+        queue.close();
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("task slot lock")
+                .expect("every admitted task resolves")
+        })
+        .collect()
+}
+
 /// What [`BoundedQueue::try_push`] did with the offered item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TryPush {
+enum TryPush {
     /// Enqueued.
     Admitted,
     /// The queue is at capacity; the item was not enqueued.
@@ -389,17 +534,17 @@ pub(crate) enum TryPush {
     Closed,
 }
 
-/// The bounded MPMC request queue between the schedule producer and the
-/// worker pool: two FIFO lanes ([`Priority::High`] drains first), a shared
-/// capacity across both. Backpressure by blocking — `push` waits while the
-/// queue is full, `pop` waits while it is empty and not yet closed — or by
-/// shedding through the non-blocking [`BoundedQueue::try_push`].
+/// The bounded MPMC task queue between the producer and the worker pool:
+/// two FIFO lanes ([`Priority::High`] drains first), a shared capacity
+/// across both. Backpressure by blocking — `push` waits while the queue is
+/// full, `pop` waits while it is empty and not yet closed — or by shedding
+/// through the non-blocking [`BoundedQueue::try_push`].
 ///
 /// The `serve.queue_depth` gauge mirrors the live length, and every
 /// producer blocked on a full queue first counts one
 /// `serve.queue.full_waits` — the saturation signal admission control
 /// keys off.
-pub(crate) struct BoundedQueue {
+struct BoundedQueue {
     state: Mutex<QueueState>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -428,7 +573,7 @@ impl QueueState {
 }
 
 impl BoundedQueue {
-    pub(crate) fn new(capacity: usize, registry: &Registry) -> BoundedQueue {
+    fn new(capacity: usize, registry: &Registry) -> BoundedQueue {
         BoundedQueue {
             state: Mutex::new(QueueState {
                 high: VecDeque::new(),
@@ -443,17 +588,10 @@ impl BoundedQueue {
         }
     }
 
-    /// Admits `item` at normal priority, blocking while the queue is full.
-    /// Returns `false` without admitting when the queue closed early (a
-    /// worker panicked).
-    pub(crate) fn push(&self, item: usize) -> bool {
-        self.push_with(item, Priority::Normal)
-    }
-
     /// Admits `item` into its priority lane, blocking while the queue is
     /// full (counted in `serve.queue.full_waits`). Returns `false` without
-    /// admitting when the queue closed early.
-    pub(crate) fn push_with(&self, item: usize, priority: Priority) -> bool {
+    /// admitting when the queue closed early (a worker panicked).
+    fn push(&self, item: usize, priority: Priority) -> bool {
         let mut st = self.state.lock().expect("serve queue lock");
         if st.len() >= self.capacity && !st.closed {
             self.full_waits.inc();
@@ -471,8 +609,8 @@ impl BoundedQueue {
     }
 
     /// Offers `item` without blocking: [`TryPush::Full`] when the queue is
-    /// saturated — the load-shed path of [`run_schedule_admission`].
-    pub(crate) fn try_push(&self, item: usize, priority: Priority) -> TryPush {
+    /// saturated — the load-shed path of [`AdmissionConfig::shed_when_full`].
+    fn try_push(&self, item: usize, priority: Priority) -> TryPush {
         let mut st = self.state.lock().expect("serve queue lock");
         if st.closed {
             return TryPush::Closed;
@@ -486,20 +624,16 @@ impl BoundedQueue {
         TryPush::Admitted
     }
 
-    /// The live queue length (both lanes) — the brownout watermark signal.
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().expect("serve queue lock").len()
-    }
-
-    /// The next request index — high lane first — or `None` once the
-    /// queue is closed and drained.
-    pub(crate) fn pop(&self) -> Option<usize> {
+    /// The next item — high lane first — with the number of items still
+    /// queued behind it (the brownout backlog), or `None` once the queue
+    /// is closed and drained.
+    fn pop(&self) -> Option<(usize, usize)> {
         let mut st = self.state.lock().expect("serve queue lock");
         loop {
             if let Some(item) = st.high.pop_front().or_else(|| st.normal.pop_front()) {
                 self.depth.sub(1);
                 self.not_full.notify_one();
-                return Some(item);
+                return Some((item, st.len()));
             }
             if st.closed {
                 return None;
@@ -508,7 +642,7 @@ impl BoundedQueue {
         }
     }
 
-    pub(crate) fn close(&self) {
+    fn close(&self) {
         // Runs from a panicking worker's drop guard too: recover from the
         // (unlikely) poisoned lock rather than aborting on double panic.
         let mut st = self
@@ -524,377 +658,13 @@ impl BoundedQueue {
 /// Closes the queue when a worker unwinds, so the producer and sibling
 /// workers drain and exit instead of blocking forever; the panic itself
 /// resurfaces at the thread-scope join.
-pub(crate) struct CloseOnPanic<'a>(pub(crate) &'a BoundedQueue);
+struct CloseOnPanic<'a>(&'a BoundedQueue);
 
 impl Drop for CloseOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.close();
         }
-    }
-}
-
-/// Drives the request schedule through a fixed-size pool of
-/// `exec.workers` threads (a [`std::thread::scope`] — no runtime
-/// dependency) fed by a bounded queue, and returns results **in original
-/// schedule order** regardless of completion order: each worker writes
-/// into the slot of the request it served.
-///
-/// Every worker builds its own [`Engine`] over the shared `provider` and
-/// `registry`, so per-evaluation memo state stays request-private — the
-/// only cross-request sharing is the provider's atomic-result cache,
-/// whose singleflight layer coalesces concurrent misses on one key into
-/// a single computation. Results are therefore bit-identical to
-/// [`run_schedule`] for every worker count: rankings never depend on
-/// cache state, only the work to produce them does.
-///
-/// On top of the sequential path's `serve.requests` /
-/// `serve.request_seconds` metrics this records the `serve.queue_depth`
-/// gauge, one `serve.worker.{i}.request_seconds` histogram per worker,
-/// and `serve.inflight_coalesced` — how many lookups of this run
-/// coalesced onto another request's in-flight computation instead of
-/// recomputing.
-///
-/// # Panics
-///
-/// As [`run_schedule`]: panics if a pool query fails to evaluate. A
-/// panicking worker closes the queue so the pool shuts down instead of
-/// deadlocking, and the panic resurfaces here.
-#[must_use]
-pub fn run_schedule_concurrent<P: AtomicProvider>(
-    w: &ServeWorkload,
-    provider: &P,
-    engine_config: EngineConfig,
-    registry: &Arc<Registry>,
-    exec: &ExecutorConfig,
-) -> ScheduleRun {
-    let workers = exec.workers.max(1);
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.request_seconds");
-    let coalesced_total = registry.counter("cache.coalesced");
-    let pruned_total = registry.counter("engine.prune.entries_pruned");
-    let inflight_coalesced = registry.counter("serve.inflight_coalesced");
-    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
-    let depth = w.depth();
-    let slots: Vec<Mutex<Option<Vec<RankedSegment>>>> =
-        w.schedule.iter().map(|_| Mutex::new(None)).collect();
-    let coalesced_before = coalesced_total.get();
-    let pruned_before = pruned_total.get();
-    let start = Instant::now();
-    // One set of engine metric handles for every worker's engine.
-    let handles = EngineHandles::new(Arc::clone(registry));
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            let requests = &requests;
-            let latency = &latency;
-            let worker_latency = registry.histogram(&format!("serve.worker.{wid}.request_seconds"));
-            let handles = Arc::clone(&handles);
-            scope.spawn(move || {
-                let _guard = CloseOnPanic(queue);
-                let engine = Engine::with_handles(provider, &w.tree, engine_config, handles);
-                while let Some(r) = queue.pop() {
-                    let t0 = Instant::now();
-                    let out = engine
-                        .top_k_closed(&w.queries[w.schedule[r]], depth, w.k)
-                        .expect("serve request evaluates");
-                    let elapsed = t0.elapsed();
-                    latency.record_duration(elapsed);
-                    worker_latency.record_duration(elapsed);
-                    requests.inc();
-                    *slots[r].lock().expect("result slot lock") = Some(out);
-                }
-            });
-        }
-        for r in 0..w.schedule.len() {
-            if !queue.push(r) {
-                break; // a worker panicked; the scope join re-panics below
-            }
-        }
-        queue.close();
-    });
-    inflight_coalesced.add(coalesced_total.get() - coalesced_before);
-    let results = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot lock")
-                .expect("every admitted request resolves")
-        })
-        .collect();
-    ScheduleRun {
-        results,
-        elapsed: start.elapsed(),
-        // Summed over the whole run from the shared registry: per-request
-        // engine deltas are not meaningful when workers interleave, but
-        // the cumulative counter is exact and equals the sequential sum.
-        entries_pruned: (pruned_total.get() - pruned_before) as usize,
-    }
-}
-
-/// Concurrent twin of [`run_schedule_resilient`]: the same fixed-size
-/// worker pool and bounded queue as [`run_schedule_concurrent`], with
-/// every request resolved to a classified [`RequestReport`]. Reports come
-/// back **in schedule order** whatever order requests complete in, and
-/// each request increments exactly one `serve.outcome.*` counter — on the
-/// worker that resolved it, so the counters are exact under concurrent
-/// completion.
-///
-/// Per-request [`Budget`]s are inherited from `limits` as in the
-/// sequential path. `cancel` is an optional schedule-level budget for
-/// cooperative cancellation: once it is violated (deadline passed, fuel
-/// exhausted, or [`Budget::cancel`] called from another thread), every
-/// not-yet-evaluated request's budget is cancelled up front, so the pool
-/// drains quickly with degraded answers (sound upper bounds) instead of
-/// evaluating doomed work.
-///
-/// `before_request` runs on the worker thread that evaluates the slot,
-/// immediately before evaluation — fault harnesses pin their per-thread
-/// epoch there (e.g. `FaultyProvider::set_thread_epoch`). It must be
-/// `Fn + Sync` since slots resolve concurrently.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_schedule_resilient_concurrent<P: AtomicProvider>(
-    w: &ServeWorkload,
-    provider: &P,
-    engine_config: EngineConfig,
-    registry: &Arc<Registry>,
-    limits: RequestLimits,
-    exec: &ExecutorConfig,
-    cancel: Option<&Budget>,
-    before_request: impl Fn(usize) + Sync,
-) -> ResilientRun {
-    let workers = exec.workers.max(1);
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.request_seconds");
-    let ok = registry.counter("serve.outcome.ok");
-    let degraded = registry.counter("serve.outcome.degraded");
-    let failed = registry.counter("serve.outcome.failed");
-    let shed = registry.counter("serve.outcome.shed");
-    let coalesced_total = registry.counter("cache.coalesced");
-    let inflight_coalesced = registry.counter("serve.inflight_coalesced");
-    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
-    let depth = w.depth();
-    let slots: Vec<Mutex<Option<RequestReport>>> =
-        w.schedule.iter().map(|_| Mutex::new(None)).collect();
-    let coalesced_before = coalesced_total.get();
-    let start = Instant::now();
-    // One set of engine metric handles for every worker's engine.
-    let handles = EngineHandles::new(Arc::clone(registry));
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            let requests = &requests;
-            let latency = &latency;
-            let (ok, degraded, failed, shed) = (&ok, &degraded, &failed, &shed);
-            let before_request = &before_request;
-            let worker_latency = registry.histogram(&format!("serve.worker.{wid}.request_seconds"));
-            let handles = Arc::clone(&handles);
-            scope.spawn(move || {
-                let _guard = CloseOnPanic(queue);
-                let engine = Engine::with_handles(provider, &w.tree, engine_config, handles);
-                while let Some(r) = queue.pop() {
-                    before_request(r);
-                    let budget = limits.budget();
-                    if cancel.is_some_and(|c| c.check().is_err()) {
-                        budget.cancel();
-                    }
-                    let t0 = Instant::now();
-                    let report = resolve_request(w, &engine, w.schedule[r], depth, w.k, &budget);
-                    let elapsed = t0.elapsed();
-                    latency.record_duration(elapsed);
-                    worker_latency.record_duration(elapsed);
-                    requests.inc();
-                    match report.outcome {
-                        RequestOutcome::Ok => ok.inc(),
-                        RequestOutcome::Degraded => degraded.inc(),
-                        RequestOutcome::Failed => failed.inc(),
-                        RequestOutcome::Shed => shed.inc(),
-                    }
-                    *slots[r].lock().expect("report slot lock") = Some(report);
-                }
-            });
-        }
-        for r in 0..w.schedule.len() {
-            if !queue.push(r) {
-                break;
-            }
-        }
-        queue.close();
-    });
-    inflight_coalesced.add(coalesced_total.get() - coalesced_before);
-    let reports = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("report slot lock")
-                .expect("every admitted request resolves")
-        })
-        .collect();
-    ResilientRun {
-        reports,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Degraded-service tuning applied while the executor queue sits at or
-/// above its watermark: requests are evaluated with a smaller `k` and an
-/// optional fuel cap, trading answer size for admission capacity instead
-/// of queueing or shedding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrownoutConfig {
-    /// Queue length (at pop time) at or above which a request is served
-    /// browned-out. `0` browns out everything; `usize::MAX` effectively
-    /// disables brownout.
-    pub watermark: usize,
-    /// The lowered top-`k` size under brownout (the effective `k` is the
-    /// minimum of this and the workload's `k`).
-    pub k: usize,
-    /// Additional fuel cap under brownout, on top of the request's normal
-    /// [`RequestLimits`].
-    pub fuel: Option<u64>,
-}
-
-/// Admission policy of [`run_schedule_admission`]: what happens when the
-/// bounded queue is full, and whether saturation lowers service quality.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// `true` sheds on a full queue ([`RequestOutcome::Shed`], counted in
-    /// `serve.outcome.shed`) instead of blocking the producer; `false`
-    /// keeps the blocking backpressure of the plain executor (waits
-    /// counted in `serve.queue.full_waits` either way).
-    pub shed_when_full: bool,
-    /// Brownout mode, if any.
-    pub brownout: Option<BrownoutConfig>,
-}
-
-/// [`run_schedule_resilient_concurrent`] with admission control: a
-/// per-request [`Priority`] routes each request into the queue's high or
-/// normal lane, a saturated queue either sheds or blocks per
-/// [`AdmissionConfig::shed_when_full`], and queue pressure at serve time
-/// can brown requests out ([`BrownoutConfig`]) — lowering `k` and capping
-/// fuel rather than turning work away.
-///
-/// Shed requests resolve producer-side to [`RequestOutcome::Shed`] with an
-/// [`EngineError::Overloaded`] reason and are counted in `serve.requests`
-/// and `serve.outcome.shed` like any other outcome; browned-out requests
-/// count `serve.brownout.requests`. With shedding off, no brownout, and a
-/// uniform priority, this is exactly the resilient concurrent executor:
-/// same queue, same budgets, bit-identical reports.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_schedule_admission<P: AtomicProvider>(
-    w: &ServeWorkload,
-    provider: &P,
-    engine_config: EngineConfig,
-    registry: &Arc<Registry>,
-    limits: RequestLimits,
-    exec: &ExecutorConfig,
-    admission: &AdmissionConfig,
-    priority: impl Fn(usize) -> Priority + Sync,
-) -> ResilientRun {
-    let workers = exec.workers.max(1);
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.request_seconds");
-    let ok = registry.counter("serve.outcome.ok");
-    let degraded = registry.counter("serve.outcome.degraded");
-    let failed = registry.counter("serve.outcome.failed");
-    let shed = registry.counter("serve.outcome.shed");
-    let browned = registry.counter("serve.brownout.requests");
-    let coalesced_total = registry.counter("cache.coalesced");
-    let inflight_coalesced = registry.counter("serve.inflight_coalesced");
-    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
-    let depth = w.depth();
-    let slots: Vec<Mutex<Option<RequestReport>>> =
-        w.schedule.iter().map(|_| Mutex::new(None)).collect();
-    let coalesced_before = coalesced_total.get();
-    let start = Instant::now();
-    // One set of engine metric handles for every worker's engine.
-    let handles = EngineHandles::new(Arc::clone(registry));
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            let requests = &requests;
-            let latency = &latency;
-            let (ok, degraded, failed, shed) = (&ok, &degraded, &failed, &shed);
-            let browned = &browned;
-            let worker_latency = registry.histogram(&format!("serve.worker.{wid}.request_seconds"));
-            let handles = Arc::clone(&handles);
-            scope.spawn(move || {
-                let _guard = CloseOnPanic(queue);
-                let engine = Engine::with_handles(provider, &w.tree, engine_config, handles);
-                while let Some(r) = queue.pop() {
-                    // Brownout is decided at serve time from live queue
-                    // pressure: the backlog behind this request, not the
-                    // backlog when it was admitted.
-                    let brownout = admission.brownout.filter(|b| queue.len() >= b.watermark);
-                    let mut k = w.k;
-                    let mut budget = limits.budget();
-                    if let Some(b) = brownout {
-                        browned.inc();
-                        k = k.min(b.k);
-                        if let Some(fuel) = b.fuel {
-                            budget = budget.with_fuel(fuel);
-                        }
-                    }
-                    let t0 = Instant::now();
-                    let report = resolve_request(w, &engine, w.schedule[r], depth, k, &budget);
-                    let elapsed = t0.elapsed();
-                    latency.record_duration(elapsed);
-                    worker_latency.record_duration(elapsed);
-                    requests.inc();
-                    match report.outcome {
-                        RequestOutcome::Ok => ok.inc(),
-                        RequestOutcome::Degraded => degraded.inc(),
-                        RequestOutcome::Failed => failed.inc(),
-                        RequestOutcome::Shed => shed.inc(),
-                    }
-                    *slots[r].lock().expect("report slot lock") = Some(report);
-                }
-            });
-        }
-        'produce: for (r, slot) in slots.iter().enumerate().take(w.schedule.len()) {
-            let lane = priority(r);
-            if admission.shed_when_full {
-                match queue.try_push(r, lane) {
-                    TryPush::Admitted => {}
-                    TryPush::Closed => break 'produce,
-                    TryPush::Full => {
-                        let report = RequestReport {
-                            query: w.schedule[r],
-                            outcome: RequestOutcome::Shed,
-                            ranked: Vec::new(),
-                            upper_bounds: Vec::new(),
-                            reason: Some(
-                                EngineError::Overloaded("executor queue full".into()).to_string(),
-                            ),
-                        };
-                        requests.inc();
-                        shed.inc();
-                        *slot.lock().expect("report slot lock") = Some(report);
-                    }
-                }
-            } else if !queue.push_with(r, lane) {
-                break 'produce;
-            }
-        }
-        queue.close();
-    });
-    inflight_coalesced.add(coalesced_total.get() - coalesced_before);
-    let reports = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("report slot lock")
-                .expect("every admitted request resolves")
-        })
-        .collect();
-    ResilientRun {
-        reports,
-        elapsed: start.elapsed(),
     }
 }
 
@@ -919,26 +689,35 @@ pub fn query_pool() -> Vec<Formula> {
     .collect()
 }
 
-/// Builds the workload. Deterministic in `cfg.seed`.
-#[must_use]
-pub fn build(cfg: &ServeConfig) -> ServeWorkload {
-    let tree = generate(
+/// The generator of every served video, single or in a corpus: a
+/// two-level tree of `shots` leaves over ten objects.
+pub(crate) fn gen_tree(shots: u32, seed: u64) -> VideoTree {
+    generate(
         &VideoGenConfig {
-            branching: vec![cfg.shots],
+            branching: vec![shots],
             object_count: 10,
             objects_per_leaf: 3.0,
             ..VideoGenConfig::default()
         },
-        cfg.seed,
-    );
-    let queries = query_pool();
-    // Zipf-like sampling by inverse-power weights over the pool ranks.
-    let weights: Vec<f64> = (0..queries.len())
-        .map(|i| 1.0 / ((i + 1) as f64).powf(cfg.zipf_exponent))
+        seed,
+    )
+}
+
+/// The Zipf-like request schedule both workloads serve: `requests`
+/// indices into a pool of `queries` formulas, index `i` drawn with weight
+/// `1 / (i + 1)^exponent`. Deterministic in `seed`.
+pub(crate) fn zipf_schedule(
+    queries: usize,
+    requests: usize,
+    exponent: f64,
+    seed: u64,
+) -> Vec<usize> {
+    let weights: Vec<f64> = (0..queries)
+        .map(|i| 1.0 / ((i + 1) as f64).powf(exponent))
         .collect();
     let total: f64 = weights.iter().sum();
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
-    let schedule = (0..cfg.requests)
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
+    (0..requests)
         .map(|_| {
             let mut pick = rng.gen_range(0.0..total);
             for (i, w) in weights.iter().enumerate() {
@@ -947,13 +726,19 @@ pub fn build(cfg: &ServeConfig) -> ServeWorkload {
                 }
                 pick -= w;
             }
-            queries.len() - 1
+            queries - 1
         })
-        .collect();
+        .collect()
+}
+
+/// Builds the workload. Deterministic in `cfg.seed`.
+#[must_use]
+pub fn build(cfg: &ServeConfig) -> ServeWorkload {
+    let queries = query_pool();
     ServeWorkload {
-        tree,
+        tree: gen_tree(cfg.shots, cfg.seed),
+        schedule: zipf_schedule(queries.len(), cfg.requests, cfg.zipf_exponent, cfg.seed),
         queries,
-        schedule,
         k: cfg.k,
     }
 }
@@ -962,6 +747,29 @@ pub fn build(cfg: &ServeConfig) -> ServeWorkload {
 mod tests {
     use super::*;
     use simvid_htl::{classify, FormulaClass};
+    use simvid_picture::{CacheConfig, PictureSystem, ScoringConfig};
+
+    /// A cached picture system over `w`'s video, recording into `registry`.
+    fn system<'a>(w: &'a ServeWorkload, registry: &Arc<Registry>) -> PictureSystem<'a> {
+        PictureSystem::with_registry(
+            &w.tree,
+            ScoringConfig::default(),
+            CacheConfig::default(),
+            registry.clone(),
+        )
+    }
+
+    /// Serves `w` on a fresh cached system and registry.
+    fn serve(
+        w: &ServeWorkload,
+        exec: ExecutorConfig,
+        policy: &ServePolicy<'_>,
+    ) -> (ScheduleRun, Arc<Registry>) {
+        let registry = Arc::new(Registry::new());
+        let sys = system(w, &registry);
+        let run = run_schedule(w, &sys, EngineConfig::default(), &registry, &exec, policy);
+        (run, registry)
+    }
 
     #[test]
     fn deterministic_in_seed() {
@@ -1004,29 +812,33 @@ mod tests {
         }
     }
 
+    /// `workers: 0` serves on the calling thread: the hook sees the
+    /// caller's thread for every slot, and no pool worker records a task.
     #[test]
-    fn resilient_fault_free_matches_plain_schedule() {
-        let cfg = ServeConfig {
-            shots: 12,
-            requests: 16,
+    fn inline_run_serves_on_the_calling_thread() {
+        let w = build(&ServeConfig {
+            shots: 8,
+            requests: 6,
             ..ServeConfig::default()
+        });
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let hook = |_: usize| seen.lock().unwrap().push(std::thread::current().id());
+        let policy = ServePolicy {
+            before_request: Some(&hook),
+            ..ServePolicy::default()
         };
-        let w = build(&cfg);
-        let sys =
-            simvid_picture::PictureSystem::new(&w.tree, simvid_picture::ScoringConfig::default());
-        let engine = Engine::new(&sys, &w.tree);
-        let plain = run_schedule(&w, &engine);
-        let resilient = run_schedule_resilient(&w, &engine, RequestLimits::default(), |_| {});
-        assert_eq!(resilient.count(RequestOutcome::Ok), w.schedule.len());
-        for (report, expect) in resilient.reports.iter().zip(&plain.results) {
-            assert_eq!(&report.ranked, expect, "fault-free path must be identical");
-            assert!(report.upper_bounds.is_empty());
-            assert_eq!(report.reason, None);
-        }
-        let snap = engine.registry().snapshot();
-        assert_eq!(snap.counter("serve.outcome.ok"), Some(16));
-        assert_eq!(snap.counter("serve.outcome.degraded"), Some(0));
-        assert_eq!(snap.counter("serve.outcome.failed"), Some(0));
+        let (run, registry) = serve(&w, ExecutorConfig::with_workers(0), &policy);
+        assert_eq!(run.count(RequestOutcome::Ok), 6);
+        assert_eq!(*seen.lock().unwrap(), vec![caller; 6]);
+        let snap = registry.snapshot();
+        assert!(
+            snap.entries
+                .iter()
+                .all(|(name, _)| !name.starts_with("serve.worker.")),
+            "an inline run registers no worker histogram"
+        );
+        assert_eq!(snap.counter("serve.requests"), Some(6));
     }
 
     #[test]
@@ -1037,14 +849,14 @@ mod tests {
             ..ServeConfig::default()
         };
         let w = build(&cfg);
-        let sys =
-            simvid_picture::PictureSystem::new(&w.tree, simvid_picture::ScoringConfig::default());
-        let engine = Engine::new(&sys, &w.tree);
-        let limits = RequestLimits {
-            deadline: Some(Duration::ZERO),
-            fuel: None,
+        let policy = ServePolicy {
+            limits: RequestLimits {
+                deadline: Some(Duration::ZERO),
+                fuel: None,
+            },
+            ..ServePolicy::default()
         };
-        let run = run_schedule_resilient(&w, &engine, limits, |_| {});
+        let (run, _) = serve(&w, ExecutorConfig::with_workers(0), &policy);
         assert_eq!(run.reports.len(), 6);
         assert_eq!(run.count(RequestOutcome::Degraded), 6);
         for report in &run.reports {
@@ -1057,39 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_results_match_sequential_in_schedule_order() {
-        let cfg = ServeConfig {
-            shots: 12,
-            requests: 24,
-            ..ServeConfig::default()
-        };
-        let w = build(&cfg);
-        let sys =
-            simvid_picture::PictureSystem::new(&w.tree, simvid_picture::ScoringConfig::default());
-        let engine = Engine::new(&sys, &w.tree);
-        let sequential = run_schedule(&w, &engine);
-        let registry = Arc::new(simvid_obs::Registry::new());
-        let sys2 = simvid_picture::PictureSystem::with_registry(
-            &w.tree,
-            simvid_picture::ScoringConfig::default(),
-            simvid_picture::CacheConfig::default(),
-            registry.clone(),
-        );
-        let concurrent = run_schedule_concurrent(
-            &w,
-            &sys2,
-            EngineConfig::default(),
-            &registry,
-            &ExecutorConfig::with_workers(3),
-        );
-        assert_eq!(concurrent.results, sequential.results);
-        assert_eq!(concurrent.entries_pruned, sequential.entries_pruned);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("serve.requests"), Some(24));
-        assert_eq!(snap.gauge("serve.queue_depth"), Some(0));
-    }
-
-    #[test]
     fn concurrent_resilient_zero_deadline_reports_stay_ordered() {
         let cfg = ServeConfig {
             shots: 8,
@@ -1097,27 +876,14 @@ mod tests {
             ..ServeConfig::default()
         };
         let w = build(&cfg);
-        let registry = Arc::new(simvid_obs::Registry::new());
-        let sys = simvid_picture::PictureSystem::with_registry(
-            &w.tree,
-            simvid_picture::ScoringConfig::default(),
-            simvid_picture::CacheConfig::default(),
-            registry.clone(),
-        );
-        let limits = RequestLimits {
-            deadline: Some(Duration::ZERO),
-            fuel: None,
+        let policy = ServePolicy {
+            limits: RequestLimits {
+                deadline: Some(Duration::ZERO),
+                fuel: None,
+            },
+            ..ServePolicy::default()
         };
-        let run = run_schedule_resilient_concurrent(
-            &w,
-            &sys,
-            EngineConfig::default(),
-            &registry,
-            limits,
-            &ExecutorConfig::with_workers(4),
-            None,
-            |_| {},
-        );
+        let (run, registry) = serve(&w, ExecutorConfig::with_workers(4), &policy);
         assert_eq!(run.reports.len(), 10);
         assert_eq!(run.count(RequestOutcome::Degraded), 10);
         // Slot `r` must hold slot `r`'s query whatever order workers
@@ -1138,25 +904,13 @@ mod tests {
             ..ServeConfig::default()
         };
         let w = build(&cfg);
-        let registry = Arc::new(simvid_obs::Registry::new());
-        let sys = simvid_picture::PictureSystem::with_registry(
-            &w.tree,
-            simvid_picture::ScoringConfig::default(),
-            simvid_picture::CacheConfig::default(),
-            registry.clone(),
-        );
         let cancel = Budget::unlimited();
         cancel.cancel();
-        let run = run_schedule_resilient_concurrent(
-            &w,
-            &sys,
-            EngineConfig::default(),
-            &registry,
-            RequestLimits::default(),
-            &ExecutorConfig::with_workers(2),
-            Some(&cancel),
-            |_| {},
-        );
+        let policy = ServePolicy {
+            cancel: Some(&cancel),
+            ..ServePolicy::default()
+        };
+        let (run, _) = serve(&w, ExecutorConfig::with_workers(2), &policy);
         assert_eq!(run.reports.len(), 6);
         assert_eq!(
             run.count(RequestOutcome::Degraded),
@@ -1179,9 +933,8 @@ mod tests {
         assert_eq!(q.try_push(0, Priority::Normal), TryPush::Admitted);
         assert_eq!(q.try_push(1, Priority::High), TryPush::Admitted);
         assert_eq!(q.try_push(2, Priority::Normal), TryPush::Full);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1), "high lane drains first");
-        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.pop(), Some((1, 1)), "high lane drains first");
+        assert_eq!(q.pop(), Some((0, 0)));
         q.close();
         assert_eq!(q.pop(), None);
         assert_eq!(q.try_push(3, Priority::Normal), TryPush::Closed);
@@ -1198,20 +951,26 @@ mod tests {
         let registry = Registry::new();
         let q = BoundedQueue::new(1, &registry);
         let waits = registry.counter("serve.queue.full_waits");
-        assert!(q.push(0), "first push fits without waiting");
+        assert!(
+            q.push(0, Priority::Normal),
+            "first push fits without waiting"
+        );
         assert_eq!(waits.get(), 0);
         std::thread::scope(|scope| {
             let q = &q;
             scope.spawn(move || {
-                assert!(q.push(1), "blocked push completes once a slot frees");
+                assert!(
+                    q.push(1, Priority::Normal),
+                    "blocked push completes once a slot frees"
+                );
             });
             // Deterministic rendezvous: the counter ticks *before* the
             // producer parks, so spinning on it cannot miss the wait.
             while waits.get() == 0 {
                 std::thread::yield_now();
             }
-            assert_eq!(q.pop(), Some(0));
-            assert_eq!(q.pop(), Some(1));
+            assert_eq!(q.pop(), Some((0, 0)));
+            assert_eq!(q.pop(), Some((1, 0)));
         });
         assert_eq!(waits.get(), 1, "exactly one producer waited");
     }
@@ -1220,7 +979,7 @@ mod tests {
     /// first request has been shed — pinning the executor saturated so the
     /// shed path is exercised deterministically.
     struct GateProvider<'a> {
-        inner: simvid_picture::PictureSystem<'a>,
+        inner: PictureSystem<'a>,
         release_when: Arc<simvid_obs::Counter>,
         released: std::sync::atomic::AtomicBool,
     }
@@ -1270,32 +1029,28 @@ mod tests {
             ..ServeConfig::default()
         };
         let w = build(&cfg);
-        let registry = Arc::new(simvid_obs::Registry::new());
+        let registry = Arc::new(Registry::new());
         let sys = GateProvider {
-            inner: simvid_picture::PictureSystem::with_registry(
-                &w.tree,
-                simvid_picture::ScoringConfig::default(),
-                simvid_picture::CacheConfig::default(),
-                registry.clone(),
-            ),
+            inner: system(&w, &registry),
             release_when: registry.counter("serve.outcome.shed"),
             released: std::sync::atomic::AtomicBool::new(false),
         };
-        let run = run_schedule_admission(
+        let run = run_schedule(
             &w,
             &sys,
             EngineConfig::default(),
             &registry,
-            RequestLimits::default(),
             &ExecutorConfig {
                 workers: 1,
                 queue_depth: 1,
             },
-            &AdmissionConfig {
-                shed_when_full: true,
-                brownout: None,
+            &ServePolicy {
+                admission: AdmissionConfig {
+                    shed_when_full: true,
+                    brownout: None,
+                },
+                ..ServePolicy::default()
             },
-            |_| Priority::Normal,
         );
         assert_eq!(run.reports.len(), 8, "every slot resolves, shed or served");
         let sheds = run.count(RequestOutcome::Shed);
@@ -1321,21 +1076,8 @@ mod tests {
             ..ServeConfig::default()
         };
         let w = build(&cfg);
-        let registry = Arc::new(simvid_obs::Registry::new());
-        let sys = simvid_picture::PictureSystem::with_registry(
-            &w.tree,
-            simvid_picture::ScoringConfig::default(),
-            simvid_picture::CacheConfig::default(),
-            registry.clone(),
-        );
-        let run = run_schedule_admission(
-            &w,
-            &sys,
-            EngineConfig::default(),
-            &registry,
-            RequestLimits::default(),
-            &ExecutorConfig::with_workers(2),
-            &AdmissionConfig {
+        let policy = ServePolicy {
+            admission: AdmissionConfig {
                 shed_when_full: false,
                 // Watermark 0: the backlog is always >= 0, so every
                 // request serves browned-out — deterministic whatever the
@@ -1346,8 +1088,9 @@ mod tests {
                     fuel: None,
                 }),
             },
-            |_| Priority::Normal,
-        );
+            ..ServePolicy::default()
+        };
+        let (run, registry) = serve(&w, ExecutorConfig::with_workers(2), &policy);
         assert_eq!(run.count(RequestOutcome::Ok), 12);
         for report in &run.reports {
             assert!(
@@ -1367,25 +1110,10 @@ mod tests {
             ..ServeConfig::default()
         };
         let w = build(&cfg);
-        let sys =
-            simvid_picture::PictureSystem::new(&w.tree, simvid_picture::ScoringConfig::default());
-        let engine = Engine::new(&sys, &w.tree);
-        let reference = run_schedule_resilient(&w, &engine, RequestLimits::default(), |_| {});
-        let registry = Arc::new(simvid_obs::Registry::new());
-        let sys2 = simvid_picture::PictureSystem::with_registry(
-            &w.tree,
-            simvid_picture::ScoringConfig::default(),
-            simvid_picture::CacheConfig::default(),
-            registry.clone(),
-        );
-        let run = run_schedule_admission(
-            &w,
-            &sys2,
-            EngineConfig::default(),
-            &registry,
-            RequestLimits::default(),
-            &ExecutorConfig::with_workers(3),
-            &AdmissionConfig {
+        let (reference, _) = serve(&w, ExecutorConfig::with_workers(0), &ServePolicy::default());
+        let lanes = |r: usize| [Priority::High, Priority::Normal][r % 2];
+        let policy = ServePolicy {
+            admission: AdmissionConfig {
                 shed_when_full: false,
                 brownout: Some(BrownoutConfig {
                     watermark: usize::MAX,
@@ -1393,14 +1121,10 @@ mod tests {
                     fuel: Some(0),
                 }),
             },
-            |r| {
-                if r % 2 == 0 {
-                    Priority::High
-                } else {
-                    Priority::Normal
-                }
-            },
-        );
+            priority: Some(&lanes),
+            ..ServePolicy::default()
+        };
+        let (run, registry) = serve(&w, ExecutorConfig::with_workers(3), &policy);
         assert_eq!(
             run.reports, reference.reports,
             "no saturation: admission control must be invisible"

@@ -9,15 +9,15 @@
 //! request positions; a frozen schedule is one with no batches.
 //!
 //! One runner, [`run_corpus`], drives every schedule. Between mutation
-//! points it pins one snapshot and answers the segment's requests against
-//! it — inline with `workers == 0`, otherwise through the fixed worker
-//! pool of [`crate::serve`] fanned out over `(request, shard)` tasks,
-//! where whichever worker finishes the last shard of a request runs the
-//! merge coordinator for it. At a mutation point the pool drains (a barrier), the batch
-//! applies, and the next segment pins the new epoch. Answers come back
-//! slot-ordered and bit-identical for every worker count, shard count and
-//! replica count, because each request is answered at the same epoch
-//! either way and the merge is deterministic.
+//! points it pins one snapshot and fans the segment's requests out as
+//! `(request, shard)` tasks over the worker pool of [`crate::serve`]
+//! (inline on the calling thread with `workers == 0`); whichever task
+//! finishes the last shard of a request runs the merge coordinator for it.
+//! At a mutation point the pool drains (a barrier), the batch applies, and
+//! the next segment pins the new epoch. Answers come back slot-ordered and
+//! bit-identical for every worker count, shard count and replica count,
+//! because each request is answered at the same epoch either way and the
+//! merge is deterministic.
 
 use simvid_core::{EngineError, ShardStream};
 use simvid_htl::Formula;
@@ -29,8 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::randomvideo::{generate, VideoGenConfig};
-use crate::serve::{BoundedQueue, CloseOnPanic, ExecutorConfig};
+use crate::serve::{gen_tree, query_pool, run_pool, zipf_schedule, ExecutorConfig, Priority};
 
 /// Parameters of the corpus serving workload.
 #[derive(Debug, Clone)]
@@ -125,23 +124,10 @@ impl CorpusWorkload {
     }
 }
 
-/// The tree generator every corpus video (base or mutated) comes from.
-pub(crate) fn gen_tree(shots: u32, seed: u64) -> simvid_model::VideoTree {
-    generate(
-        &VideoGenConfig {
-            branching: vec![shots],
-            object_count: 10,
-            objects_per_leaf: 3.0,
-            ..VideoGenConfig::default()
-        },
-        seed,
-    )
-}
-
 /// Builds the corpus workload. Deterministic in `cfg.seed`: video `i`
-/// derives its generator seed from the base seed, the schedule uses the
-/// exact sampling of [`crate::serve::build`], and the mutation batches
-/// come from [`crate::churn::batches`].
+/// derives its generator seed from the base seed, the schedule is the one
+/// [`crate::serve::build`] samples for the same seed, and the mutation
+/// batches come from [`crate::churn::batches`].
 #[must_use]
 pub fn build_corpus(cfg: &CorpusConfig) -> CorpusWorkload {
     let mut store = VideoStore::new();
@@ -151,17 +137,11 @@ pub fn build_corpus(cfg: &CorpusConfig) -> CorpusWorkload {
             .wrapping_add(u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         store.add(gen_tree(cfg.shots, seed));
     }
-    let single = crate::serve::build(&crate::serve::ServeConfig {
-        shots: 1, // the tree is discarded; only the schedule matters
-        requests: cfg.requests,
-        zipf_exponent: cfg.zipf_exponent,
-        k: cfg.k,
-        seed: cfg.seed,
-    });
+    let queries = query_pool();
     CorpusWorkload {
         store,
-        queries: single.queries,
-        schedule: single.schedule,
+        schedule: zipf_schedule(queries.len(), cfg.requests, cfg.zipf_exponent, cfg.seed),
+        queries,
         batches: crate::churn::batches(cfg),
         k: cfg.k,
     }
@@ -204,16 +184,17 @@ impl CorpusRun {
 /// Drives the schedule through `db`: before each request, apply every
 /// batch scheduled at or before its position; answer the requests between
 /// mutation points against one pinned snapshot. Each pool query is
-/// normalized and planned once for the whole run. `exec.workers == 0`
-/// answers inline, one request at a time in shard order; `workers >= 1`
-/// fans each segment out as `(request, shard)` tasks over a pool of that
-/// many threads fed by a bounded queue of `exec.queue_depth`.
+/// normalized and planned once for the whole run. Each segment fans out
+/// as `(request, shard)` tasks over the worker pool of `exec`:
+/// `exec.workers == 0` answers inline, one request at a time in shard
+/// order; `workers >= 1` runs the tasks on that many threads fed by a
+/// bounded queue of `exec.queue_depth`.
 ///
-/// `serve.requests` and `serve.request_seconds` are recorded as in the
-/// single-video runners, and the pool adds one
-/// `serve.worker.<wid>.shard_seconds` histogram per worker; the db itself
-/// maintains the `shard.*`, `replica.*` and `cache.invalidation.*`
-/// metrics.
+/// `serve.requests` and `serve.request_seconds` are recorded as in
+/// [`crate::serve::run_schedule`], and so is the pool's per-worker
+/// `serve.worker.<wid>.task_seconds` histogram (here one task is one
+/// shard of one request); the db itself maintains the `shard.*`,
+/// `replica.*` and `cache.invalidation.*` metrics.
 ///
 /// # Panics
 ///
@@ -249,11 +230,7 @@ pub fn run_corpus(w: &CorpusWorkload, db: &LiveVideoDb, exec: &ExecutorConfig) -
             pin: db.pin(),
             lo,
         };
-        let served = if exec.workers == 0 {
-            segment.run_inline(hi)
-        } else {
-            segment.run_pool(hi, exec)
-        };
+        let served = segment.run(hi, exec);
         epochs.extend(std::iter::repeat_n(segment.pin.epoch().0, hi - lo));
         answers.extend(served);
         lo = hi;
@@ -286,111 +263,75 @@ impl Segment<'_> {
             .eval_shard_prepared(ShardId(s as u32), plan, self.w.depth(), self.w.k)
     }
 
-    /// Answers requests `lo..hi` one at a time, scattering each over the
-    /// shards in shard order.
-    fn run_inline(&self, hi: usize) -> Vec<ShardedAnswer> {
-        let registry = self.db.registry();
-        let requests = registry.counter("serve.requests");
-        let latency = registry.histogram("serve.request_seconds");
-        (self.lo..hi)
-            .map(|r| {
-                let t0 = Instant::now();
-                let per_shard = (0..self.pin.shard_count() as usize)
-                    .map(|s| (ShardId(s as u32), self.eval(r, s)))
-                    .collect();
-                let answer = self
-                    .pin
-                    .gather(per_shard, self.w.k)
-                    .expect("corpus request evaluates");
-                latency.record_duration(t0.elapsed());
-                requests.inc();
-                answer
-            })
-            .collect()
-    }
-
     /// Fans requests `lo..hi` out as `(request, shard)` tasks over the
-    /// worker pool; the worker that finishes a request's last shard
-    /// gathers it into the request's slot.
-    fn run_pool(&self, hi: usize, exec: &ExecutorConfig) -> Vec<ShardedAnswer> {
+    /// worker pool; the task that finishes a request's last shard gathers
+    /// the request.
+    fn run(&self, hi: usize, exec: &ExecutorConfig) -> Vec<ShardedAnswer> {
         let registry = self.db.registry();
         let requests = registry.counter("serve.requests");
         let latency = registry.histogram("serve.request_seconds");
-        let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
         let shards = self.pin.shard_count().max(1) as usize;
         let n = hi - self.lo;
         // Per-request scatter state: one stream slot per shard, a
-        // countdown of shards still in flight, the request's first-task
-        // start time, and the gathered answer.
+        // countdown of shards still in flight, and the request's
+        // first-task start time.
         type StreamSlot = Mutex<Option<Result<ShardStream, EngineError>>>;
         let streams: Vec<Vec<StreamSlot>> = (0..n)
             .map(|_| (0..shards).map(|_| Mutex::new(None)).collect())
             .collect();
         let remaining: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(shards)).collect();
         let started: Vec<Mutex<Option<Instant>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let answers: Vec<Mutex<Option<ShardedAnswer>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for wid in 0..exec.workers {
-                let queue = &queue;
-                let (streams, remaining, started, answers) =
-                    (&streams, &remaining, &started, &answers);
-                let (requests, latency) = (&requests, &latency);
-                let worker_shards =
-                    registry.histogram(&format!("serve.worker.{wid}.shard_seconds"));
-                scope.spawn(move || {
-                    let _guard = CloseOnPanic(queue);
-                    while let Some(task) = queue.pop() {
-                        let (i, s) = (task / shards, task % shards);
-                        started[i]
-                            .lock()
-                            .expect("request start lock")
-                            .get_or_insert_with(Instant::now);
-                        let t0 = Instant::now();
-                        let stream = self.eval(self.lo + i, s);
-                        worker_shards.record_duration(t0.elapsed());
-                        *streams[i][s].lock().expect("stream slot lock") = Some(stream);
-                        if remaining[i].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            // Last shard of request `i`: gather on this worker.
-                            let per_shard = streams[i]
-                                .iter()
-                                .enumerate()
-                                .map(|(si, slot)| {
-                                    let outcome = slot
-                                        .lock()
-                                        .expect("stream slot lock")
-                                        .take()
-                                        .expect("every shard slot resolves before gather");
-                                    (ShardId(si as u32), outcome)
-                                })
-                                .collect();
-                            let answer = self
-                                .pin
-                                .gather(per_shard, self.w.k)
-                                .expect("corpus request evaluates");
-                            let t0 = started[i]
-                                .lock()
-                                .expect("request start lock")
-                                .expect("request start recorded before gather");
-                            latency.record_duration(t0.elapsed());
-                            requests.inc();
-                            *answers[i].lock().expect("answer slot lock") = Some(answer);
-                        }
-                    }
-                });
-            }
-            for task in 0..n * shards {
-                if !queue.push(task) {
-                    break; // a worker panicked; the scope join re-panics below
+        let mut gathered = run_pool(
+            exec,
+            registry,
+            n * shards,
+            |_| Priority::Normal,
+            None,
+            || (),
+            |(), task, _| {
+                let (i, s) = (task / shards, task % shards);
+                started[i]
+                    .lock()
+                    .expect("request start lock")
+                    .get_or_insert_with(Instant::now);
+                let stream = self.eval(self.lo + i, s);
+                *streams[i][s].lock().expect("stream slot lock") = Some(stream);
+                if remaining[i].fetch_sub(1, Ordering::AcqRel) != 1 {
+                    return None;
                 }
-            }
-            queue.close();
-        });
-        answers
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("answer slot lock")
-                    .expect("every admitted request resolves")
+                // Last shard of request `i`: gather it here.
+                let per_shard = streams[i]
+                    .iter()
+                    .enumerate()
+                    .map(|(si, slot)| {
+                        let outcome = slot
+                            .lock()
+                            .expect("stream slot lock")
+                            .take()
+                            .expect("every shard slot resolves before gather");
+                        (ShardId(si as u32), outcome)
+                    })
+                    .collect();
+                let answer = self
+                    .pin
+                    .gather(per_shard, self.w.k)
+                    .expect("corpus request evaluates");
+                let t0 = started[i]
+                    .lock()
+                    .expect("request start lock")
+                    .expect("request start recorded before gather");
+                latency.record_duration(t0.elapsed());
+                requests.inc();
+                Some(answer)
+            },
+        );
+        gathered
+            .chunks_mut(shards)
+            .map(|tasks| {
+                tasks
+                    .iter_mut()
+                    .find_map(Option::take)
+                    .expect("one shard task of every request gathers it")
             })
             .collect()
     }

@@ -11,7 +11,7 @@
 //! truth (listed values are lower bounds, interval bounds are upper
 //! bounds, for every position of the sequence).
 
-use simvid_core::{Engine, EngineConfig, Interval};
+use simvid_core::{AtomicProvider, Engine, EngineConfig, Interval};
 use simvid_htl::parse;
 use simvid_model::{CorpusOp, VideoBuilder, VideoStore, VideoTree};
 use simvid_obs::Registry;
@@ -20,7 +20,7 @@ use simvid_picture::{
 };
 use simvid_resilience::{FaultPlan, FaultyProvider, RetryPolicy};
 use simvid_workload::serve::{
-    self, RequestLimits, RequestOutcome, ResilientRun, ServeConfig, ServeWorkload,
+    self, ExecutorConfig, RequestOutcome, ScheduleRun, ServeConfig, ServePolicy, ServeWorkload,
 };
 use std::sync::Arc;
 
@@ -52,16 +52,32 @@ fn aggressive_policy() -> RetryPolicy {
     }
 }
 
+/// Serves `w` inline through `provider` with `cfg` and `policy`.
+fn serve_inline<P: AtomicProvider>(
+    w: &ServeWorkload,
+    provider: &P,
+    cfg: EngineConfig,
+    policy: &ServePolicy<'_>,
+) -> ScheduleRun {
+    let registry = Arc::new(Registry::new());
+    let exec = ExecutorConfig::with_workers(0);
+    serve::run_schedule(w, provider, cfg, &registry, &exec, policy)
+}
+
 /// Replays the schedule under `plan`; returns the run plus, per request,
 /// whether its epoch ran pristine (zero injected faults).
-fn chaos_run(w: &ServeWorkload, plan: FaultPlan, cfg: EngineConfig) -> (ResilientRun, Vec<bool>) {
+fn chaos_run(w: &ServeWorkload, plan: FaultPlan, cfg: EngineConfig) -> (ScheduleRun, Vec<bool>) {
     let sys = PictureSystem::with_cache(&w.tree, ScoringConfig::default(), CacheConfig::default());
     let faulty =
         FaultyProvider::with_registry(sys, plan, aggressive_policy(), &Arc::new(Registry::new()));
-    let engine = Engine::with_config(&faulty, &w.tree, cfg);
-    let run = serve::run_schedule_resilient(w, &engine, RequestLimits::default(), |r| {
-        faulty.set_epoch(r as u64 + 1)
-    });
+    let pin = |r: usize| faulty.set_thread_epoch(r as u64 + 1);
+    let policy = ServePolicy {
+        before_request: Some(&pin),
+        ..ServePolicy::default()
+    };
+    let run = serve_inline(w, &faulty, cfg, &policy);
+    // The inline run pinned the calling thread itself.
+    faulty.clear_thread_epoch();
     let pristine = (0..w.schedule.len())
         .map(|r| faulty.faults_in_epoch(r as u64 + 1) == 0)
         .collect();
@@ -133,7 +149,12 @@ fn fault_free_requests_are_bit_identical_and_degraded_answers_bracket_truth() {
         .iter()
         .map(|q| truth_engine.eval_closed_at_level(q, w.depth()).unwrap())
         .collect();
-    let truth_run = serve::run_schedule(&w, &truth_engine);
+    let truth_run = serve_inline(
+        &w,
+        &truth_sys,
+        EngineConfig::default(),
+        &ServePolicy::default(),
+    );
     let (run, pristine) = chaos_run(&w, hot_plan(), EngineConfig::default());
     let mut checked_degraded = 0;
     for (r, report) in run.reports.iter().enumerate() {
@@ -144,7 +165,7 @@ fn fault_free_requests_are_bit_identical_and_degraded_answers_bracket_truth() {
                 "request {r} ran pristine but did not resolve Ok"
             );
             assert_eq!(
-                report.ranked, truth_run.results[r],
+                report.ranked, truth_run.reports[r].ranked,
                 "request {r} ran pristine but diverged from the fault-free run"
             );
         }

@@ -1,9 +1,9 @@
 //! Concurrent serving executor suite: bit-identity across worker counts.
 //!
 //! The executor's contract is that concurrency changes *throughput*,
-//! never *answers*: for every worker count the ranked results (plain
-//! path) and the classified reports (resilient and chaos paths) must be
-//! bit-identical to the sequential loop, in original schedule order. On
+//! never *answers*: for every worker count the classified reports of
+//! `run_schedule` (fault-free and under chaos) must be bit-identical to
+//! an inline run (`workers: 0`), in original schedule order. On
 //! top of ordering, the suite proves the singleflight layer's claim — a
 //! hot-key miss storm performs exactly the work of one sequential pass —
 //! and the cache-counter split invariant
@@ -16,12 +16,12 @@
 //! epochs, every request's fault exposure is a pure function of its
 //! schedule slot — replayable at any worker count.
 
-use simvid_core::{Engine, EngineConfig};
+use simvid_core::{AtomicProvider, Engine, EngineConfig};
 use simvid_obs::Registry;
 use simvid_picture::{CacheConfig, PictureSystem, ScoringConfig};
 use simvid_resilience::{FaultPlan, FaultyProvider, RetryPolicy};
 use simvid_workload::serve::{
-    self, ExecutorConfig, RequestLimits, RequestOutcome, ServeConfig, ServeWorkload,
+    self, ExecutorConfig, RequestOutcome, ScheduleRun, ServeConfig, ServePolicy, ServeWorkload,
 };
 use std::sync::Arc;
 
@@ -33,6 +33,24 @@ fn small_cfg() -> ServeConfig {
         requests: 40,
         ..ServeConfig::default()
     }
+}
+
+/// Serves `w` through `provider` on `workers` workers with `policy`.
+fn serve<P: AtomicProvider>(
+    w: &ServeWorkload,
+    provider: &P,
+    registry: &Arc<Registry>,
+    workers: usize,
+    policy: &ServePolicy<'_>,
+) -> ScheduleRun {
+    serve::run_schedule(
+        w,
+        provider,
+        EngineConfig::default(),
+        registry,
+        &ExecutorConfig::with_workers(workers),
+        policy,
+    )
 }
 
 fn warm_system<'a>(w: &'a ServeWorkload, registry: &Arc<Registry>) -> PictureSystem<'a> {
@@ -47,21 +65,16 @@ fn warm_system<'a>(w: &'a ServeWorkload, registry: &Arc<Registry>) -> PictureSys
 #[test]
 fn plain_results_bit_identical_across_worker_counts() {
     let w = serve::build(&small_cfg());
-    let sys = PictureSystem::new(&w.tree, ScoringConfig::default());
-    let engine = Engine::new(&sys, &w.tree);
-    let sequential = serve::run_schedule(&w, &engine);
+    let registry = Arc::new(Registry::new());
+    let sys = warm_system(&w, &registry);
+    let sequential = serve(&w, &sys, &registry, 0, &ServePolicy::default());
+    assert_eq!(sequential.count(RequestOutcome::Ok), w.schedule.len());
     for &workers in WORKER_COUNTS {
         let registry = Arc::new(Registry::new());
         let sys = warm_system(&w, &registry);
-        let run = serve::run_schedule_concurrent(
-            &w,
-            &sys,
-            EngineConfig::default(),
-            &registry,
-            &ExecutorConfig::with_workers(workers),
-        );
+        let run = serve(&w, &sys, &registry, workers, &ServePolicy::default());
         assert_eq!(
-            run.results, sequential.results,
+            run.reports, sequential.reports,
             "{workers}-worker results must be bit-identical to sequential"
         );
         assert_eq!(
@@ -74,34 +87,6 @@ fn plain_results_bit_identical_across_worker_counts() {
             Some(w.schedule.len() as u64)
         );
         assert_eq!(snap.gauge("serve.queue_depth"), Some(0));
-    }
-}
-
-#[test]
-fn resilient_fault_free_reports_identical_across_worker_counts() {
-    let w = serve::build(&small_cfg());
-    let sys = PictureSystem::new(&w.tree, ScoringConfig::default());
-    let engine = Engine::new(&sys, &w.tree);
-    let sequential = serve::run_schedule_resilient(&w, &engine, RequestLimits::default(), |_| {});
-    assert_eq!(sequential.count(RequestOutcome::Ok), w.schedule.len());
-    for &workers in WORKER_COUNTS {
-        let registry = Arc::new(Registry::new());
-        let sys = warm_system(&w, &registry);
-        let run = serve::run_schedule_resilient_concurrent(
-            &w,
-            &sys,
-            EngineConfig::default(),
-            &registry,
-            RequestLimits::default(),
-            &ExecutorConfig::with_workers(workers),
-            None,
-            |_| {},
-        );
-        assert_eq!(
-            run.reports, sequential.reports,
-            "{workers}-worker reports must be bit-identical to sequential"
-        );
-        let snap = registry.snapshot();
         assert_eq!(
             snap.counter("serve.outcome.ok"),
             Some(w.schedule.len() as u64),
@@ -133,19 +118,26 @@ fn aggressive_policy() -> RetryPolicy {
 #[test]
 fn chaos_epoch_reports_identical_across_worker_counts() {
     let w = serve::build(&small_cfg());
-    // Sequential ground truth: global epochs, cache disabled so each
-    // request's fault exposure is a pure function of its slot.
-    let sys = PictureSystem::with_cache(&w.tree, ScoringConfig::default(), CacheConfig::disabled());
-    let faulty = FaultyProvider::with_registry(
-        sys,
-        hot_plan(),
-        aggressive_policy(),
-        &Arc::new(Registry::new()),
-    );
-    let engine = Engine::new(&faulty, &w.tree);
-    let sequential = serve::run_schedule_resilient(&w, &engine, RequestLimits::default(), |r| {
-        faulty.set_epoch(r as u64 + 1)
-    });
+    // One fault world per worker count: cache disabled, so each request's
+    // fault exposure is a pure function of its slot, and the evaluating
+    // thread pinned to the slot's epoch, so every provider call of the
+    // request sees it.
+    let chaos = |workers: usize| {
+        let registry = Arc::new(Registry::new());
+        let sys =
+            PictureSystem::with_cache(&w.tree, ScoringConfig::default(), CacheConfig::disabled());
+        let faulty = FaultyProvider::with_registry(sys, hot_plan(), aggressive_policy(), &registry);
+        let pin = |r: usize| faulty.set_thread_epoch(r as u64 + 1);
+        let policy = ServePolicy {
+            before_request: Some(&pin),
+            ..ServePolicy::default()
+        };
+        let run = serve(&w, &faulty, &registry, workers, &policy);
+        // An inline run pinned the calling thread itself.
+        faulty.clear_thread_epoch();
+        run
+    };
+    let sequential = chaos(0);
     assert!(
         sequential.count(RequestOutcome::Ok) < w.schedule.len(),
         "the plan must be hot enough to matter"
@@ -155,25 +147,9 @@ fn chaos_epoch_reports_identical_across_worker_counts() {
         "the plan must degrade or fail some requests"
     );
     for &workers in WORKER_COUNTS {
-        let registry = Arc::new(Registry::new());
-        let sys =
-            PictureSystem::with_cache(&w.tree, ScoringConfig::default(), CacheConfig::disabled());
-        let faulty = FaultyProvider::with_registry(sys, hot_plan(), aggressive_policy(), &registry);
-        let faulty = &faulty;
-        // Evaluation stays on the worker thread, so the worker's pinned
-        // fault epoch governs every provider call of its request.
-        let run = serve::run_schedule_resilient_concurrent(
-            &w,
-            faulty,
-            EngineConfig::default(),
-            &registry,
-            RequestLimits::default(),
-            &ExecutorConfig::with_workers(workers),
-            None,
-            |r| faulty.set_thread_epoch(r as u64 + 1),
-        );
         assert_eq!(
-            run.reports, sequential.reports,
+            chaos(workers).reports,
+            sequential.reports,
             "{workers}-worker chaos reports must replay the sequential world \
              (outcomes, rankings, bounds and reasons, byte for byte)"
         );
@@ -205,15 +181,9 @@ fn hot_query_storm_performs_exactly_one_computation() {
     // The storm: all workers hammer the key from a cold cache.
     let registry = Arc::new(Registry::new());
     let sys = warm_system(&w, &registry);
-    let run = serve::run_schedule_concurrent(
-        &w,
-        &sys,
-        EngineConfig::default(),
-        &registry,
-        &ExecutorConfig::with_workers(WORKERS),
-    );
-    for result in &run.results {
-        assert_eq!(result, &expected);
+    let run = serve(&w, &sys, &registry, WORKERS, &ServePolicy::default());
+    for report in &run.reports {
+        assert_eq!(report.ranked, expected);
     }
     let stats = sys.cache_stats();
     assert_eq!(
@@ -241,13 +211,7 @@ fn counter_split_invariant_holds_over_a_full_concurrent_schedule() {
     let w = serve::build(&small_cfg());
     let registry = Arc::new(Registry::new());
     let sys = warm_system(&w, &registry);
-    let _ = serve::run_schedule_concurrent(
-        &w,
-        &sys,
-        EngineConfig::default(),
-        &registry,
-        &ExecutorConfig::with_workers(4),
-    );
+    let _ = serve(&w, &sys, &registry, 4, &ServePolicy::default());
     let stats = sys.cache_stats();
     assert!(stats.lookups > 0);
     assert_eq!(
@@ -259,10 +223,10 @@ fn counter_split_invariant_holds_over_a_full_concurrent_schedule() {
         stats.coalesced,
         stats.lookups
     );
-    // The serve-layer counter mirrors the cache's coalesced delta.
+    // The registry's counter is the cache's own.
     let snap = registry.snapshot();
     assert_eq!(
-        snap.counter("serve.inflight_coalesced"),
+        snap.counter("cache.coalesced"),
         Some(stats.coalesced as u64)
     );
 }

@@ -14,7 +14,7 @@ use simvid_htl::{parse, AtomicUnit, AttrFn};
 use simvid_obs::{MetricValue, Registry, Snapshot};
 use simvid_picture::{CacheConfig, PictureSystem, ScoringConfig};
 use simvid_workload::randomlists;
-use simvid_workload::serve::{self, ServeConfig};
+use simvid_workload::serve::{self, ExecutorConfig, ServeConfig, ServePolicy};
 use std::sync::Arc;
 
 /// A provider serving two fixed random lists for `P1()` / `P2()`, sliced
@@ -165,9 +165,15 @@ fn serve_histogram_count_matches_request_count() {
         CacheConfig::default(),
         registry.clone(),
     );
-    let engine = Engine::with_registry(&sys, &w.tree, EngineConfig::default(), registry.clone());
-    let run = serve::run_schedule(&w, &engine);
-    assert_eq!(run.results.len(), 25);
+    let run = serve::run_schedule(
+        &w,
+        &sys,
+        EngineConfig::default(),
+        &registry,
+        &ExecutorConfig::with_workers(0),
+        &ServePolicy::default(),
+    );
+    assert_eq!(run.reports.len(), 25);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("serve.requests"), Some(25));
     match snap.get("serve.request_seconds") {
@@ -201,8 +207,14 @@ fn snapshot_json_is_valid_json() {
         CacheConfig::default(),
         registry.clone(),
     );
-    let engine = Engine::with_registry(&sys, &w.tree, EngineConfig::default(), registry.clone());
-    let _ = serve::run_schedule(&w, &engine);
+    let _ = serve::run_schedule(
+        &w,
+        &sys,
+        EngineConfig::default(),
+        &registry,
+        &ExecutorConfig::with_workers(0),
+        &ServePolicy::default(),
+    );
     let text = registry.snapshot().to_json();
     let doc: serde_json::Value =
         serde_json::from_str(&text).expect("snapshot JSON must parse back");

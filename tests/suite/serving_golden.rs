@@ -12,7 +12,9 @@ use simvid_core::{Engine, EngineConfig, ShardHit};
 use simvid_obs::Registry;
 use simvid_picture::{CacheConfig, LiveVideoDb, PictureSystem, ScoringConfig};
 use simvid_tests::Digest;
-use simvid_workload::serve::{self, ExecutorConfig, ServeConfig, ServeWorkload};
+use simvid_workload::serve::{
+    self, ExecutorConfig, ScheduleRun, ServeConfig, ServePolicy, ServeWorkload,
+};
 use simvid_workload::shard::{build_corpus, run_corpus, CorpusConfig, CorpusRun, CorpusWorkload};
 use std::sync::Arc;
 
@@ -58,42 +60,49 @@ fn primed(w: &ServeWorkload, cache: CacheConfig) -> PictureSystem<'_> {
     sys
 }
 
+/// Serves `w` through `sys` on `workers` workers.
+fn serve(w: &ServeWorkload, sys: &PictureSystem<'_>, workers: usize) -> ScheduleRun {
+    serve::run_schedule(
+        w,
+        sys,
+        EngineConfig::default(),
+        &Arc::new(Registry::new()),
+        &ExecutorConfig::with_workers(workers),
+        &ServePolicy::default(),
+    )
+}
+
 /// The serve smoke's cache hit rate (priming included) and pruned
 /// entries per request on a primed system with `cache`.
 fn serve_ratios(cache: CacheConfig) -> (f64, f64) {
     let w = serve_smoke();
     let sys = primed(&w, cache);
-    let run = serve::run_schedule(&w, &Engine::new(&sys, &w.tree));
+    let run = serve(&w, &sys, 0);
     let stats = sys.cache_stats();
     let lookups = (stats.hits + stats.misses).max(1);
     (
         stats.hits as f64 / lookups as f64,
-        run.entries_pruned as f64 / run.results.len() as f64,
+        run.entries_pruned as f64 / run.reports.len() as f64,
     )
 }
 
 #[test]
 fn serve_smoke_answers_are_pinned_sequential_and_pooled() {
     let w = serve_smoke();
-    let digest = |results: &[Vec<_>]| {
-        results
+    let digest = |run: &ScheduleRun| {
+        run.reports
             .iter()
-            .fold(Digest::new(results.len()), |d, r| d.segments(r))
+            .fold(Digest::new(run.reports.len()), |d, r| d.segments(&r.ranked))
             .hex()
     };
-    let sys = primed(&w, CacheConfig::default());
-    let seq = serve::run_schedule(&w, &Engine::new(&sys, &w.tree));
-    assert_eq!(digest(&seq.results), SERVE_DIGEST);
-
-    let sys = primed(&w, CacheConfig::default());
-    let pooled = serve::run_schedule_concurrent(
-        &w,
-        &sys,
-        EngineConfig::default(),
-        &Arc::new(Registry::new()),
-        &ExecutorConfig::with_workers(2),
-    );
-    assert_eq!(digest(&pooled.results), SERVE_DIGEST);
+    for workers in [0, 2] {
+        let sys = primed(&w, CacheConfig::default());
+        assert_eq!(
+            digest(&serve(&w, &sys, workers)),
+            SERVE_DIGEST,
+            "{workers} workers"
+        );
+    }
 }
 
 #[test]
