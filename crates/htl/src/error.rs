@@ -2,6 +2,15 @@
 
 use std::fmt;
 
+/// What a [`ParseError`] rejects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// Malformed input: an unexpected character, token or literal.
+    Syntax,
+    /// Input nested deeper than [`crate::MAX_FORMULA_DEPTH`].
+    TooDeep,
+}
+
 /// An error produced while lexing or parsing HTL text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -9,6 +18,8 @@ pub struct ParseError {
     pub pos: usize,
     /// Human-readable description.
     pub msg: String,
+    /// What the error rejects.
+    pub kind: ParseErrorKind,
 }
 
 impl ParseError {
@@ -16,6 +27,18 @@ impl ParseError {
         ParseError {
             pos,
             msg: msg.into(),
+            kind: ParseErrorKind::Syntax,
+        }
+    }
+
+    pub(crate) fn too_deep(pos: usize) -> Self {
+        ParseError {
+            pos,
+            msg: format!(
+                "formula nests deeper than {} levels",
+                crate::MAX_FORMULA_DEPTH
+            ),
+            kind: ParseErrorKind::TooDeep,
         }
     }
 }

@@ -79,11 +79,11 @@ mod vars;
 pub use ast::{Atom, AttrFn, AttrVar, CmpOp, Expr, Formula, LevelSpec, ObjVar};
 pub use atoms::{atomic_units, is_pure, AtomicUnit};
 pub use classify::{classify, FormulaClass};
-pub use error::ParseError;
+pub use error::{ParseError, ParseErrorKind};
 pub use exact::{
     eval_atom, eval_expr, exact_retrieve, satisfies_video, Bindings, Env, ExactEvaluator,
 };
 pub use intern::FormulaId;
 pub use normalize::{hoist_quantifiers, normalize_for_engine};
-pub use parser::parse;
+pub use parser::{parse, MAX_FORMULA_DEPTH};
 pub use vars::{bound_vars, free_attr_vars, free_obj_vars, is_closed};

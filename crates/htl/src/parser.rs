@@ -4,6 +4,14 @@ use crate::lexer::{lex, Spanned, Tok};
 use crate::{Atom, AttrFn, AttrVar, CmpOp, Expr, Formula, LevelSpec, ObjVar, ParseError};
 use simvid_model::AttrValue;
 
+/// The deepest the parser nests. Each `formula`, `unary`, `atom` and `term`
+/// it enters counts one level, and so does each `and` a conjunction chains
+/// (a left-nested chain builds a deep tree without recursing). A parsed
+/// formula is therefore never deeper than this, which bounds the recursion
+/// of every later pass over it: normalizing, interning, printing, exact
+/// evaluation, planning, engine evaluation and `Drop`.
+pub const MAX_FORMULA_DEPTH: usize = 256;
+
 /// Parses an HTL formula from its concrete syntax.
 ///
 /// Identifier resolution follows fixed syntactic rules: identifiers in
@@ -14,7 +22,9 @@ use simvid_model::AttrValue;
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with byte position on malformed input.
+/// Returns a [`ParseError`] with byte position on malformed input, and one
+/// of kind [`crate::ParseErrorKind::TooDeep`] on input nested deeper than
+/// [`MAX_FORMULA_DEPTH`], before any over-deep node is built.
 pub fn parse(input: &str) -> Result<Formula, ParseError> {
     let toks = lex(input)?;
     let mut p = Parser {
@@ -22,6 +32,7 @@ pub fn parse(input: &str) -> Result<Formula, ParseError> {
         i: 0,
         obj_binders: Vec::new(),
         attr_binders: Vec::new(),
+        depth: 0,
     };
     let f = p.formula()?;
     p.expect(&Tok::Eof)?;
@@ -41,6 +52,8 @@ struct Parser {
     i: usize,
     obj_binders: Vec<String>,
     attr_binders: Vec<String>,
+    /// Current nesting, counted as [`MAX_FORMULA_DEPTH`] describes.
+    depth: usize,
 }
 
 impl Parser {
@@ -87,8 +100,43 @@ impl Parser {
         }
     }
 
-    // formula := conj ('until' formula)?     (right associative)
+    /// Goes one level deeper, failing if that passes [`MAX_FORMULA_DEPTH`].
+    /// A failed parse never comes back up, so only success restores depth.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_FORMULA_DEPTH {
+            Err(ParseError::too_deep(self.pos()))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Runs `body` one level deeper.
+    fn nested<T>(&mut self, body: fn(&mut Self) -> Result<T, ParseError>) -> Result<T, ParseError> {
+        self.descend()?;
+        let out = body(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     fn formula(&mut self) -> Result<Formula, ParseError> {
+        self.nested(Self::formula_body)
+    }
+
+    fn unary(&mut self) -> Result<Formula, ParseError> {
+        self.nested(Self::unary_body)
+    }
+
+    fn atom(&mut self) -> Result<Formula, ParseError> {
+        self.nested(Self::atom_body)
+    }
+
+    fn term(&mut self) -> Result<Term, ParseError> {
+        self.nested(Self::term_body)
+    }
+
+    // formula := conj ('until' formula)?     (right associative)
+    fn formula_body(&mut self) -> Result<Formula, ParseError> {
         let lhs = self.conj()?;
         if *self.peek() == Tok::KwUntil {
             self.bump();
@@ -102,16 +150,21 @@ impl Parser {
     // conj := unary ('and' unary)*           (left associative)
     fn conj(&mut self) -> Result<Formula, ParseError> {
         let mut f = self.unary()?;
+        let mut links = 0;
         while *self.peek() == Tok::KwAnd {
+            // Each link nests the chain so far one level deeper.
+            self.descend()?;
+            links += 1;
             self.bump();
             let rhs = self.unary()?;
             f = f.and(rhs);
         }
+        self.depth -= links;
         Ok(f)
     }
 
-    fn unary(&mut self) -> Result<Formula, ParseError> {
-        match self.peek().clone() {
+    fn unary_body(&mut self) -> Result<Formula, ParseError> {
+        match self.peek() {
             Tok::KwNot => {
                 self.bump();
                 Ok(self.unary()?.not())
@@ -126,82 +179,88 @@ impl Parser {
             }
             // Quantifier scopes extend maximally to the right, so
             // `exists x . p(x) and eventually q(x)` binds both conjuncts.
-            Tok::KwExists => {
-                self.bump();
-                let (name, _) = self.expect_ident()?;
-                self.expect(&Tok::Dot)?;
-                self.obj_binders.push(name.clone());
-                let body = self.formula();
-                self.obj_binders.pop();
-                Ok(Formula::Exists(ObjVar(name), Box::new(body?)))
-            }
-            Tok::LBracket => {
-                self.bump();
-                let (name, _) = self.expect_ident()?;
-                self.expect(&Tok::Assign)?;
-                let term = self.term()?;
-                let func = self.term_to_attr_fn(term)?;
-                self.expect(&Tok::RBracket)?;
-                self.attr_binders.push(name.clone());
-                let body = self.formula();
-                self.attr_binders.pop();
-                Ok(Formula::Freeze {
-                    var: AttrVar(name),
-                    func,
-                    body: Box::new(body?),
-                })
-            }
-            Tok::KwAt => {
-                self.bump();
-                let spec = match self.peek().clone() {
-                    Tok::KwNext => {
-                        self.bump();
-                        LevelSpec::Next
-                    }
-                    Tok::KwLevel => {
-                        self.bump();
-                        let pos = self.pos();
-                        match self.bump() {
-                            // `at level N f`: no trailing `level` keyword.
-                            Tok::Int(n) if (1..=255).contains(&n) => {
-                                return Ok(Formula::AtLevel(
-                                    LevelSpec::Number(n as u8),
-                                    Box::new(self.unary()?),
-                                ));
-                            }
-                            other => {
-                                return Err(ParseError::new(
-                                    pos,
-                                    format!(
-                                        "expected level number 1-255, found {}",
-                                        other.describe()
-                                    ),
-                                ))
-                            }
-                        }
-                    }
-                    Tok::Ident(name) => {
-                        self.bump();
-                        LevelSpec::Named(name)
-                    }
-                    other => {
-                        return Err(ParseError::new(
-                            self.pos(),
-                            format!(
-                                "expected `next`, `level` or a level name after `at`, found {}",
-                                other.describe()
-                            ),
-                        ))
-                    }
-                };
-                self.expect(&Tok::KwLevel)?;
-                Ok(Formula::AtLevel(spec, Box::new(self.unary()?)))
-            }
+            Tok::KwExists => self.exists(),
+            Tok::LBracket => self.freeze(),
+            Tok::KwAt => self.at_level(),
             _ => self.atom(),
         }
     }
 
-    fn atom(&mut self) -> Result<Formula, ParseError> {
+    // The rarer prefix forms live apart from `unary_body`, which every
+    // nesting level runs, to keep its stack frame small.
+
+    fn exists(&mut self) -> Result<Formula, ParseError> {
+        self.bump();
+        let (name, _) = self.expect_ident()?;
+        self.expect(&Tok::Dot)?;
+        self.obj_binders.push(name.clone());
+        let body = self.formula();
+        self.obj_binders.pop();
+        Ok(Formula::Exists(ObjVar(name), Box::new(body?)))
+    }
+
+    fn freeze(&mut self) -> Result<Formula, ParseError> {
+        self.bump();
+        let (name, _) = self.expect_ident()?;
+        self.expect(&Tok::Assign)?;
+        let term = self.term()?;
+        let func = self.term_to_attr_fn(term)?;
+        self.expect(&Tok::RBracket)?;
+        self.attr_binders.push(name.clone());
+        let body = self.formula();
+        self.attr_binders.pop();
+        Ok(Formula::Freeze {
+            var: AttrVar(name),
+            func,
+            body: Box::new(body?),
+        })
+    }
+
+    fn at_level(&mut self) -> Result<Formula, ParseError> {
+        self.bump();
+        let spec = match self.peek().clone() {
+            Tok::KwNext => {
+                self.bump();
+                LevelSpec::Next
+            }
+            Tok::KwLevel => {
+                self.bump();
+                let pos = self.pos();
+                match self.bump() {
+                    // `at level N f`: no trailing `level` keyword.
+                    Tok::Int(n) if (1..=255).contains(&n) => {
+                        return Ok(Formula::AtLevel(
+                            LevelSpec::Number(n as u8),
+                            Box::new(self.unary()?),
+                        ));
+                    }
+                    other => {
+                        return Err(ParseError::new(
+                            pos,
+                            format!("expected level number 1-255, found {}", other.describe()),
+                        ))
+                    }
+                }
+            }
+            Tok::Ident(name) => {
+                self.bump();
+                LevelSpec::Named(name)
+            }
+            other => {
+                return Err(ParseError::new(
+                    self.pos(),
+                    format!(
+                        "expected `next`, `level` or a level name after `at`, found {}",
+                        other.describe()
+                    ),
+                ))
+            }
+        };
+        self.expect(&Tok::KwLevel)?;
+        Ok(Formula::AtLevel(spec, Box::new(self.unary()?)))
+    }
+
+    fn atom_body(&mut self) -> Result<Formula, ParseError> {
         match self.peek().clone() {
             Tok::KwTrue | Tok::KwFalse => {
                 let b = matches!(self.bump(), Tok::KwTrue);
@@ -282,7 +341,7 @@ impl Parser {
         Some(op)
     }
 
-    fn term(&mut self) -> Result<Term, ParseError> {
+    fn term_body(&mut self) -> Result<Term, ParseError> {
         let pos = self.pos();
         match self.bump() {
             Tok::Ident(name) => {

@@ -1,9 +1,9 @@
 //! Stack-based builder for [`VideoTree`]s.
 
-use crate::tree::TreeData;
+use crate::tree::{Columns, TreeData};
 use crate::{
-    AttrValue, Level, ModelError, ObjectId, ObjectInfo, ObjectInstance, Relationship, SegmentId,
-    SegmentMeta, SegmentNode, VideoTree,
+    AttrValue, ModelError, ObjectId, ObjectInfo, ObjectInstance, Relationship, SegmentId,
+    SegmentMeta, VideoTree,
 };
 use std::collections::BTreeMap;
 
@@ -14,10 +14,14 @@ use std::collections::BTreeMap;
 /// [`VideoBuilder::up`] returns to the parent. Meta-data mutators
 /// ([`VideoBuilder::object`], [`VideoBuilder::segment_attr`], …) always apply
 /// to the current segment.
+///
+/// Each call writes the tree's columns directly: a segment costs one
+/// parent, one level and one label end, its label's bytes in a shared
+/// arena, and metadata storage only once a mutator gives it some.
 #[derive(Debug)]
 pub struct VideoBuilder {
     title: String,
-    nodes: Vec<SegmentNode>,
+    cols: Columns,
     level_names: Vec<Option<String>>,
     objects: BTreeMap<ObjectId, ObjectInfo>,
     stack: Vec<SegmentId>,
@@ -27,19 +31,9 @@ impl VideoBuilder {
     /// Starts a new video with the given title; the cursor is at the root.
     pub fn new(title: impl Into<String>) -> Self {
         let title = title.into();
-        let root = SegmentNode {
-            id: SegmentId(0),
-            parent: None,
-            children: Vec::new(),
-            level: Level::ROOT,
-            label: title.clone(),
-            meta: SegmentMeta::new(),
-            pos: 0,
-            spans: Vec::new(),
-        };
         VideoBuilder {
+            cols: Columns::with_root(&title),
             title,
-            nodes: vec![root],
             level_names: Vec::new(),
             objects: BTreeMap::new(),
             stack: vec![SegmentId(0)],
@@ -57,28 +51,20 @@ impl VideoBuilder {
         *self.stack.last().expect("stack never empty")
     }
 
-    fn current_node_mut(&mut self) -> &mut SegmentNode {
+    fn current_meta_mut(&mut self) -> &mut SegmentMeta {
         let id = self.current();
-        &mut self.nodes[id.0 as usize]
+        self.cols.meta_mut(id)
     }
 
     /// Appends a new child to the current segment and descends into it.
     /// Returns the new segment's id.
+    ///
+    /// # Panics
+    ///
+    /// If the child would sit 255 levels below the root: a video has at
+    /// most 255 levels.
     pub fn child(&mut self, label: impl Into<String>) -> SegmentId {
-        let parent = self.current();
-        let level = self.nodes[parent.0 as usize].level.child();
-        let id = SegmentId(self.nodes.len() as u32);
-        self.nodes.push(SegmentNode {
-            id,
-            parent: Some(parent),
-            children: Vec::new(),
-            level,
-            label: label.into(),
-            meta: SegmentMeta::new(),
-            pos: 0,
-            spans: Vec::new(),
-        });
-        self.nodes[parent.0 as usize].children.push(id);
+        let id = self.cols.push_child(self.current(), &label.into());
         self.stack.push(id);
         id
     }
@@ -107,8 +93,7 @@ impl VideoBuilder {
         self.objects
             .entry(oid)
             .or_insert_with(|| ObjectInfo::new(class, name));
-        self.current_node_mut()
-            .meta
+        self.current_meta_mut()
             .objects
             .push(ObjectInstance::new(oid));
         oid
@@ -117,20 +102,24 @@ impl VideoBuilder {
     /// Sets an attribute of an object's appearance in the current segment.
     /// The object must already appear in the current segment.
     pub fn object_attr(&mut self, id: ObjectId, attr: impl Into<String>, value: AttrValue) {
-        let node = self.current_node_mut();
-        if let Some(inst) = node.meta.objects.iter_mut().find(|o| o.id == id) {
-            inst.attrs.insert(attr.into(), value);
-        } else {
-            panic!("object {id} does not appear in segment {}", node.id);
+        let seg = self.current();
+        match self
+            .cols
+            .meta_mut(seg)
+            .objects
+            .iter_mut()
+            .find(|o| o.id == id)
+        {
+            Some(inst) => {
+                inst.attrs.insert(attr.into(), value);
+            }
+            None => panic!("object {id} does not appear in segment {seg}"),
         }
     }
 
     /// Sets a segment-level attribute of the current segment.
     pub fn segment_attr(&mut self, attr: impl Into<String>, value: AttrValue) {
-        self.current_node_mut()
-            .meta
-            .attrs
-            .insert(attr.into(), value);
+        self.current_meta_mut().attrs.insert(attr.into(), value);
     }
 
     /// Records a relationship among objects in the current segment.
@@ -139,14 +128,13 @@ impl VideoBuilder {
         name: impl Into<String>,
         args: impl IntoIterator<Item = ObjectId>,
     ) {
-        self.current_node_mut()
-            .meta
+        self.current_meta_mut()
             .relationships
             .push(Relationship::new(name, args));
     }
 
     /// Finishes construction: validates the structure and computes the
-    /// derived level sequences and descendant spans.
+    /// derived level sequences, positions and child offsets.
     ///
     /// # Errors
     ///
@@ -154,24 +142,7 @@ impl VideoBuilder {
     /// same depth, [`ModelError::UnknownObject`] if a relationship references
     /// an object never registered.
     pub fn finish(self) -> Result<VideoTree, ModelError> {
-        // Relationship arguments must be registered objects.
-        for node in &self.nodes {
-            for rel in &node.meta.relationships {
-                for &arg in &rel.args {
-                    if !self.objects.contains_key(&arg) {
-                        return Err(ModelError::UnknownObject(arg));
-                    }
-                }
-            }
-        }
-        let tree = TreeData {
-            title: self.title,
-            nodes: self.nodes,
-            level_names: self.level_names,
-            objects: self.objects,
-            levels: Vec::new(),
-        };
-        tree.seal()
+        TreeData::seal(self.title, self.level_names, self.objects, self.cols)
     }
 }
 
@@ -190,7 +161,7 @@ mod tests {
         b.up();
         let t = b.finish().unwrap();
         let shot = t.level_sequence(1)[0];
-        let meta = &t.node(shot).meta;
+        let meta = t.node(shot).meta();
         assert!(meta.has_relationship("fires_at", &[john, bandit]));
         assert_eq!(
             meta.object_attr(john, "holding"),
@@ -218,8 +189,8 @@ mod tests {
         assert_eq!(t.object_info(o).unwrap().class, "airplane");
         // Appears in both shots.
         let shots = t.level_sequence(1).to_vec();
-        assert!(t.node(shots[0]).meta.contains_object(o));
-        assert!(t.node(shots[1]).meta.contains_object(o));
+        assert!(t.node(shots[0]).meta().contains_object(o));
+        assert!(t.node(shots[1]).meta().contains_object(o));
     }
 
     #[test]

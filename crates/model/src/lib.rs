@@ -55,5 +55,5 @@ pub use object::{ObjectInfo, ObjectInstance};
 pub use store::{
     AppliedBatch, CorpusEpoch, CorpusError, CorpusLog, CorpusOp, GlobalSegmentRef, VideoStore,
 };
-pub use tree::{SegmentNode, VideoTree};
+pub use tree::{SegmentRef, VideoTree};
 pub use value::AttrValue;

@@ -46,10 +46,10 @@ fn video_tree_round_trips_through_json() {
     }
     let shot0 = v.level_sequence(2)[0];
     let shot0b = back.level_sequence(2)[0];
-    assert_eq!(v.node(shot0).meta, back.node(shot0b).meta);
+    assert_eq!(v.node(shot0).meta(), back.node(shot0b).meta());
     assert_eq!(
-        v.descendant_span(v.root().id, 2),
-        back.descendant_span(back.root().id, 2)
+        v.descendant_span(v.root().id(), 2),
+        back.descendant_span(back.root().id(), 2)
     );
     assert_eq!(back.level_by_name("shot"), Some(2));
     assert_eq!(
@@ -85,4 +85,18 @@ fn attr_values_serialise_distinctly() {
     let back_f: AttrValue = serde_json::from_str(&f).unwrap();
     assert_eq!(back_i, AttrValue::Int(1));
     assert_eq!(back_f, AttrValue::Float(1.0));
+}
+
+#[test]
+fn tree_json_with_inconsistent_structure_is_rejected() {
+    let json = serde_json::to_string(&rich_video()).unwrap();
+    assert!(serde_json::from_str::<VideoTree>(&json).is_ok());
+    // Segment ids are a preorder: a parent must be an open ancestor.
+    let reparented = json.replace(r#""id":3,"parent":1"#, r#""id":3,"parent":4"#);
+    // Positions, spans and level sequences are derived from the parents.
+    let reordered = json.replace(r#""levels":[[0],[1,4],"#, r#""levels":[[0],[4,1],"#);
+    for bad in [reparented, reordered] {
+        assert_ne!(bad, json, "the tampering must apply");
+        assert!(serde_json::from_str::<VideoTree>(&bad).is_err());
+    }
 }

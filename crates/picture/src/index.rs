@@ -49,7 +49,7 @@ impl LevelIndex {
         }
         for (pos0, &seg) in tree.level_sequence(depth).iter().enumerate() {
             let pos = pos0 as u32;
-            let meta = &tree.node(seg).meta;
+            let meta = tree.node(seg).meta();
             for inst in &meta.objects {
                 push_unique(ix.presence.entry(inst.id).or_default(), pos);
                 for attr in inst.attrs.keys() {

@@ -184,7 +184,7 @@ mod tests {
         assert!(hits.iter().all(|h| h.sim.is_exact()));
         // Segment ids resolve into the right trees.
         let tree = store.video(v0);
-        assert_eq!(tree.node(hits[0].segment).label, "shot1");
+        assert_eq!(tree.node(hits[0].segment).label(), "shot1");
     }
 
     #[test]

@@ -121,7 +121,7 @@ mod tests {
         assert_eq!(a.segment_count(), b.segment_count());
         // Same leaf meta everywhere.
         for (x, y) in a.level_sequence(2).iter().zip(b.level_sequence(2)) {
-            assert_eq!(a.node(*x).meta, b.node(*y).meta);
+            assert_eq!(a.node(*x).meta(), b.node(*y).meta());
         }
     }
 
@@ -146,7 +146,7 @@ mod tests {
         let total_objects: usize = t
             .level_sequence(leaf_depth)
             .iter()
-            .map(|&s| t.node(s).meta.objects.len())
+            .map(|&s| t.node(s).meta().objects.len())
             .sum();
         assert!(
             total_objects > 0,

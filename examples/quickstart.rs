@@ -73,7 +73,7 @@ fn main() {
         println!(
             "  shot {} ({}): similarity {:.2} of {:.2}",
             hit.pos,
-            video.node(shot).label,
+            video.node(shot).label(),
             hit.sim.act,
             hit.sim.max
         );

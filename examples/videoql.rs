@@ -131,7 +131,7 @@ fn main() {
                                     i + 1,
                                     h.video.to_string(),
                                     h.pos,
-                                    tree.node(h.segment).label,
+                                    tree.node(h.segment).label(),
                                     h.sim.act,
                                     100.0 * h.sim.frac()
                                 );

@@ -1,5 +1,5 @@
-//! Allocation-regression guards over the serving hot path and cold picture
-//! scoring.
+//! Allocation-regression guards over the serving hot path, cold picture
+//! scoring and video tree construction.
 //!
 //! The zero-copy work (interned formula keys, `Arc`-shared tables and
 //! lists, galloping kernels with exact reservations) only stays won if a
@@ -7,7 +7,8 @@
 //! binary installs a counting global allocator — confined to this binary,
 //! so no production code path ever sees it — and asserts an upper bound on
 //! heap allocations per warm serve query and per video of a warm corpus
-//! query.
+//! query, and on the live heap bytes and allocations per shot of a built
+//! video tree.
 //!
 //! The bound is deliberately generous (roughly 2× the measured value at
 //! the time of writing) so it only trips on structural regressions — a
@@ -17,45 +18,52 @@
 
 use simvid_core::Engine;
 use simvid_htl::parse;
-use simvid_model::VideoStore;
+use simvid_model::{VideoBuilder, VideoStore};
 use simvid_obs::Registry;
 use simvid_picture::{CacheConfig, LiveConfig, LiveVideoDb, PictureSystem, ScoringConfig};
 use simvid_workload::randomvideo::{generate as generate_video, VideoGenConfig};
 use simvid_workload::serve;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Counts allocations (and reallocations) while armed; delegates all real
-/// work to the system allocator.
+/// Counts allocations (and reallocations) and the change in live heap
+/// bytes while armed; delegates all real work to the system allocator.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static ARMED: AtomicBool = AtomicBool::new(false);
+
+/// Records one allocation call that changes the live heap by `delta` bytes.
+fn record(allocation: bool, delta: i64) {
+    if ARMED.load(Ordering::Relaxed) {
+        if allocation {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        record(true, layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        record(true, layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        record(true, new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(false, -(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -67,13 +75,24 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// a concurrently running test would otherwise add its allocations.
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
 
+/// Runs `work` with the counter armed and returns its result, the
+/// allocations it made and the heap bytes it left live.
+fn count_footprint<T>(work: impl FnOnce() -> T) -> (T, u64, i64) {
+    ALLOCATIONS.store(0, Ordering::Relaxed);
+    LIVE_BYTES.store(0, Ordering::Relaxed);
+    ARMED.store(true, Ordering::Relaxed);
+    let out = work();
+    ARMED.store(false, Ordering::Relaxed);
+    (
+        out,
+        ALLOCATIONS.load(Ordering::Relaxed),
+        LIVE_BYTES.load(Ordering::Relaxed),
+    )
+}
+
 /// Runs `work` with the counter armed and returns the allocations it made.
 fn count_allocations(work: impl FnOnce()) -> u64 {
-    ALLOCATIONS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
-    work();
-    ARMED.store(false, Ordering::Relaxed);
-    ALLOCATIONS.load(Ordering::Relaxed)
+    count_footprint(work).1
 }
 
 /// Upper bound on heap allocations per warm serve-smoke query, averaged
@@ -238,5 +257,51 @@ fn warm_corpus_queries_stay_under_allocation_budget_per_video() {
     assert!(
         allocations > 0,
         "the counting allocator must observe the workload"
+    );
+}
+
+/// Upper bounds per shot for a flat 10^5-leaf tree built through
+/// `VideoBuilder`, counting the caller's label `String` (built in one
+/// allocation: `format!` would grow its buffer once more for these
+/// labels). The columnar tree measured 35.5 live bytes and 1.001
+/// allocations per shot when introduced: the label's bytes are copied into
+/// one shared arena and every column grows by doubling. The tree of
+/// `SegmentNode` structs it replaced held 246.7 bytes and made 2.0
+/// allocations per shot: a 168-byte node in one arena, plus a heap label
+/// and a heap span list of one allocation each.
+const MAX_TREE_BYTES_PER_SHOT: f64 = 64.0;
+const MAX_TREE_ALLOCATIONS_PER_SHOT: f64 = 1.1;
+
+#[test]
+fn flat_tree_stays_under_footprint_budget_per_shot() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
+    const SHOTS: u32 = 100_000;
+    let (tree, allocations, live) = count_footprint(|| {
+        let mut b = VideoBuilder::new("flat");
+        b.set_level_names(["video", "shot"]);
+        for i in 0..SHOTS {
+            let mut label = String::with_capacity(8);
+            write!(label, "s{i}").unwrap();
+            b.leaf(label);
+        }
+        b.finish().unwrap()
+    });
+    assert_eq!(tree.level_sequence(1).len(), SHOTS as usize);
+    let bytes = live as f64 / f64::from(SHOTS);
+    let per_shot = allocations as f64 / f64::from(SHOTS);
+    assert!(
+        bytes <= MAX_TREE_BYTES_PER_SHOT,
+        "a built tree holds {bytes:.1} live heap bytes per shot \
+         (budget {MAX_TREE_BYTES_PER_SHOT}); see docs/performance.md"
+    );
+    assert!(
+        per_shot <= MAX_TREE_ALLOCATIONS_PER_SHOT,
+        "building a tree makes {per_shot:.3} allocations per shot \
+         (budget {MAX_TREE_ALLOCATIONS_PER_SHOT}, one of them the caller's label)"
+    );
+    // Guard the guard: the caller's labels alone are one allocation each.
+    assert!(
+        per_shot >= 1.0,
+        "the counting allocator must observe the build"
     );
 }
